@@ -9,7 +9,8 @@ its quasi-steady orbit, "measures" the mechanical state through the probe
 map, reconstructs it, and confirms that the inferred entanglement matches
 the true one.
 
-Runtime: a few minutes (dominated by the covariance evolution).
+Runtime: about 7 s, dominated by the covariance evolution (measured on a
+2-vCPU x86-64 VM).
 """
 
 import numpy as np

@@ -215,15 +215,20 @@ def evolve_covariance(v0: np.ndarray, a_half: np.ndarray, d: np.ndarray,
 
     ``a_half`` holds drift matrices on the half-step grid: 2N + 1 samples at
     spacing dt/2 for N steps, so the RK4 stages see the exact drift without
-    interpolation.  The covariance is re-symmetrized each step; blow-up past
-    1e6 x the initial norm raises ``BlowupError``.
+    interpolation.  Each stage is formed as M = A V, K = M + M^T + D (D
+    symmetrized once), which is exactly symmetric, so V stays exactly
+    symmetric without re-symmetrization.  A non-finite covariance, or one
+    whose norm exceeds 1e6 x the initial norm, raises ``BlowupError``.
     """
     if a_half.ndim != 3 or a_half.shape[0] % 2 == 0:
         raise ValueError("a_half must hold an odd number of 8x8 samples")
     n_steps = (a_half.shape[0] - 1) // 2
-    v = 0.5 * (np.asarray(v0, dtype=float) + np.asarray(v0, dtype=float).T)
-    norm0 = np.linalg.norm(v)
-    limit = 1e6 * max(norm0, 1.0)
+    v = np.asarray(v0, dtype=float)
+    v = 0.5 * (v + v.T)
+    d = np.asarray(d, dtype=float)
+    d = 0.5 * (d + d.T)
+    # Squared Frobenius bound; ``not (s <= bound)`` also catches NaN.
+    bound = (1e6 * max(float(np.linalg.norm(v)), 1.0)) ** 2
 
     n_stored = n_steps // store_stride + 1
     out_t = np.empty(n_stored)
@@ -237,16 +242,17 @@ def evolve_covariance(v0: np.ndarray, a_half: np.ndarray, d: np.ndarray,
         a0 = a_half[2 * k]
         am = a_half[2 * k + 1]
         a1 = a_half[2 * k + 2]
-        k1 = a0 @ v + v @ a0.T + d
-        w = v + half * k1
-        k2 = am @ w + w @ am.T + d
-        w = v + half * k2
-        k3 = am @ w + w @ am.T + d
-        w = v + dt * k3
-        k4 = a1 @ w + w @ a1.T + d
+        m = a0 @ v
+        k1 = m + m.T + d
+        m = am @ (v + half * k1)
+        k2 = m + m.T + d
+        m = am @ (v + half * k2)
+        k3 = m + m.T + d
+        m = a1 @ (v + dt * k3)
+        k4 = m + m.T + d
         v = v + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        v = 0.5 * (v + v.T)
-        if not np.isfinite(v).all() or np.linalg.norm(v) > limit:
+        flat = v.ravel()
+        if not flat @ flat <= bound:
             raise BlowupError(t0 + (k + 1) * dt)
         if (k + 1) % store_stride == 0:
             out_t[stored] = t0 + (k + 1) * dt

@@ -27,16 +27,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 def mechanical_block(v: np.ndarray) -> np.ndarray:
     """Reduced covariance of the two mechanical modes (first four rows/cols)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape == (4, 4):
-        return v.copy()
-    return v[:4, :4].copy()
+    return np.asarray(v, dtype=float)[..., :4, :4].copy()
 
 
 def partial_transpose(v: np.ndarray, party: int = 2) -> np.ndarray:
     """Momentum sign flip of one mode of a two-mode covariance matrix."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (4, 4):
+    if v.shape[-2:] != (4, 4):
         raise ValueError("partial transpose acts on a two-mode (4x4) covariance")
     if party not in (1, 2):
         raise ValueError("party must be 1 or 2")
@@ -44,33 +41,43 @@ def partial_transpose(v: np.ndarray, party: int = 2) -> np.ndarray:
     return flip @ v @ flip
 
 
+def _require(ok: np.ndarray, message: str) -> None:
+    """Raise ``ValueError`` unless every matrix passed; name the first failure."""
+    if not ok.all():
+        where = f" (matrix {int(ok.argmin())} of the stack)" if ok.ndim else ""
+        raise ValueError(message + where)
+
+
 def symplectic_spectrum(v: np.ndarray) -> np.ndarray:
     """Moduli of the eigenvalues of i Sigma V, deduplicated to n values.
 
     Requires a symmetric positive-definite covariance; the raw spectrum
-    comes in +/- pairs which are matched after sorting.
+    comes in +/- pairs which are matched after sorting.  A stack (..., 2n, 2n)
+    gives spectra (..., n) and every matrix in it must pass every check.
     """
     v = np.asarray(v, dtype=float)
-    n2 = v.shape[0]
-    if v.shape != (n2, n2) or n2 % 2:
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2] or v.shape[-1] % 2:
         raise ValueError("covariance must be square and even-dimensional")
-    scale = np.max(np.abs(v))
-    if np.max(np.abs(v - v.T)) > 1e-10 * max(scale, 1.0):
-        raise ValueError("covariance must be symmetric")
-    if np.min(np.linalg.eigvalsh(0.5 * (v + v.T))) <= 0:
-        raise ValueError("covariance must be positive definite")
-    raw = np.abs(np.linalg.eigvals(symplectic_form(n2 // 2) @ v))
-    raw.sort()
-    pairs = raw.reshape(-1, 2)
-    if np.max(np.abs(pairs[:, 0] - pairs[:, 1])) > PAIRING_TOL * max(raw[-1], 1.0):
-        raise ValueError("symplectic spectrum failed to pair")
-    return pairs.mean(axis=1)
+    v_t = v.swapaxes(-1, -2)
+    scale = np.maximum(abs(v).max(axis=(-2, -1)), 1.0)
+    _require(abs(v - v_t).max(axis=(-2, -1)) <= 1e-10 * scale,
+             "covariance must be symmetric")
+    _require(np.linalg.eigvalsh(0.5 * (v + v_t)).min(axis=-1) > 0,
+             "covariance must be positive definite")
+    raw = abs(np.linalg.eigvals(symplectic_form(v.shape[-1] // 2) @ v))
+    raw.sort(axis=-1)
+    pairs = raw.reshape(raw.shape[:-1] + (-1, 2))
+    _require(abs(pairs[..., 0] - pairs[..., 1]).max(axis=-1)
+             <= PAIRING_TOL * np.maximum(raw[..., -1], 1.0),
+             "symplectic spectrum failed to pair")
+    return pairs.mean(axis=-1)
 
 
-def eta_min(v: np.ndarray) -> float:
-    """Minimum symplectic eigenvalue of the partially transposed two-mode state."""
-    block = mechanical_block(v)
-    return float(symplectic_spectrum(partial_transpose(block)).min())
+def eta_min(v: np.ndarray) -> float | np.ndarray:
+    """Minimum symplectic eigenvalue of the partially transposed two-mode
+    state; one value per matrix for a stack."""
+    eta = symplectic_spectrum(partial_transpose(mechanical_block(v))).min(axis=-1)
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def log_negativity(v: np.ndarray, base2: bool = False) -> float:
@@ -79,12 +86,15 @@ def log_negativity(v: np.ndarray, base2: bool = False) -> float:
     return e_n / math.log(2.0) if base2 else e_n
 
 
-def phonon_occupation(v: np.ndarray, mode: int) -> float:
-    """Mean phonon number of mechanical mode 1 or 2 from its variances."""
+def phonon_occupation(v: np.ndarray, mode: int) -> float | np.ndarray:
+    """Mean phonon number of mechanical mode 1 or 2 from its variances;
+    one value per matrix for a stack."""
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
+    v = np.asarray(v, dtype=float)
     j = 2 * (mode - 1)
-    return float((v[j, j] + v[j + 1, j + 1] - 1.0) / 2.0)
+    nbar = (v[..., j, j] + v[..., j + 1, j + 1] - 1.0) / 2.0
+    return float(nbar) if nbar.ndim == 0 else nbar
 
 
 def two_mode_squeezed_cov(r: float, n_mean: float = 0.0) -> np.ndarray:
@@ -124,9 +134,10 @@ class EntanglementReport:
 def report_from_covariance(v: np.ndarray, stable: bool, t: float = 0.0) -> EntanglementReport:
     """Full report from an 8x8 (or mechanical 4x4) covariance matrix."""
     block = mechanical_block(v)
+    eta = eta_min(block)
     return EntanglementReport(
-        eta_min=eta_min(block),
-        log_neg=log_negativity(block),
+        eta_min=eta,
+        log_neg=max(0.0, -math.log(2.0 * eta)),
         nbar1=phonon_occupation(block, 1),
         nbar2=phonon_occupation(block, 2),
         stable=stable,

@@ -64,10 +64,12 @@ class MeanTrajectory:
 
 def _effective_quantities(params: DerivedParams, a: np.ndarray, x: np.ndarray,
                           bare_detuning: np.ndarray):
-    """(Delta_i, G_ij, Omega~_j) from means; the three defining identities."""
-    shift = params.g_lin @ x + params.g_quad @ x**2
-    detuning = bare_detuning + shift
-    coupling = a[:, None] * (params.g_lin + 2 * params.g_quad * x[None, :])
+    """(Delta_i, G_ij, Omega~_j) from means; the three defining identities.
+
+    ``a`` and ``x`` are one point, shape (2,), or a trajectory, shape (n, 2).
+    """
+    detuning = bare_detuning + x @ params.g_lin.T + (x**2) @ params.g_quad.T
+    coupling = a[..., :, None] * (params.g_lin + 2 * params.g_quad * x[..., None, :])
     omega_shifted = params.omega_mech + 2 * (np.abs(a) ** 2) @ params.g_quad
     return detuning, coupling, omega_shifted
 
@@ -111,28 +113,56 @@ def steady_means(params: DerivedParams, drive: DriveSpec,
                         bare_detuning=bare)
 
 
-def _mean_rhs(t: float, y: np.ndarray, params: DerivedParams, drive: DriveSpec,
-              bare: np.ndarray) -> np.ndarray:
-    """RHS of the coherent equations; y = (x1, p1, x2, p2, Re/Im a1, Re/Im a2)."""
-    x = y[0:4:2]
-    p = y[1:4:2]
-    a = y[4::2] + 1j * y[5::2]
-    n_phot = np.abs(a) ** 2
+def _scalar_rhs(params: DerivedParams, bare: np.ndarray):
+    """Float-only RHS of the coherent equations for one parameter set.
 
-    detuning = bare + params.g_lin @ x + params.g_quad @ x**2
-    e_t = np.array([drive.amplitude(1, t), drive.amplitude(2, t)])
+    ``rhs(e1, e2, x1, p1, x2, p2, ar1, ai1, ar2, ai2)`` takes the control
+    drives E_i(t) and the state (mean quadratures, then the real and
+    imaginary parts of <a_i>) and returns the 8 time derivatives.  Plain
+    Python floats avoid NumPy's per-call cost on 8-element arrays.
+    """
+    (gl11, gl12), (gl21, gl22) = params.g_lin.tolist()
+    (tq11, tq12), (tq21, tq22) = (2 * params.g_quad).tolist()
+    (gq11, gq12), (gq21, gq22) = params.g_quad.tolist()
+    w1, w2 = params.omega_mech.tolist()
+    d1, d2 = params.gamma.tolist()
+    k1, k2 = params.kappa_control().tolist()
+    b1, b2 = bare.tolist()
 
-    dx = params.omega_mech * p
-    dp = -params.omega_mech * x - params.gamma * p \
-        - n_phot @ (params.g_lin + 2 * params.g_quad * x[None, :])
-    da = -(params.kappa_control() + 1j * detuning) * a + e_t
+    def rhs(e1, e2, x1, p1, x2, p2, ar1, ai1, ar2, ai2):
+        n1 = ar1 * ar1 + ai1 * ai1
+        n2 = ar2 * ar2 + ai2 * ai2
+        sq1 = x1 * x1
+        sq2 = x2 * x2
+        delta1 = b1 + (gl11 * x1 + gl12 * x2) + (gq11 * sq1 + gq12 * sq2)
+        delta2 = b2 + (gl21 * x1 + gl22 * x2) + (gq21 * sq1 + gq22 * sq2)
+        return (
+            w1 * p1,
+            -w1 * x1 - d1 * p1
+            - (n1 * (gl11 + tq11 * x1) + n2 * (gl21 + tq21 * x1)),
+            w2 * p2,
+            -w2 * x2 - d2 * p2
+            - (n1 * (gl12 + tq12 * x2) + n2 * (gl22 + tq22 * x2)),
+            -k1 * ar1 + delta1 * ai1 + e1,
+            -k1 * ai1 - delta1 * ar1,
+            -k2 * ar2 + delta2 * ai2 + e2,
+            -k2 * ai2 - delta2 * ar2,
+        )
 
-    out = np.empty(8)
-    out[0:4:2] = dx
-    out[1:4:2] = dp
-    out[4::2] = da.real
-    out[5::2] = da.imag
-    return out
+    return rhs
+
+
+def _state(wp: WorkingPoint) -> tuple:
+    """(x1, p1, x2, p2, Re a1, Im a1, Re a2, Im a2) as Python floats."""
+    (x1, x2), (p1, p2) = wp.x.tolist(), wp.p.tolist()
+    a1, a2 = complex(wp.a[0]), complex(wp.a[1])
+    return (x1, p1, x2, p2, a1.real, a1.imag, a2.real, a2.imag)
+
+
+def _trajectory(params: DerivedParams, t: np.ndarray, x: np.ndarray,
+                p: np.ndarray, a: np.ndarray, bare: np.ndarray) -> MeanTrajectory:
+    return MeanTrajectory(t, a, x, p, *_effective_quantities(params, a, x, bare),
+                          bare_detuning=bare)
 
 
 def integrate_means(params: DerivedParams, drive: DriveSpec,
@@ -142,55 +172,74 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
 
     Starts from the CW fixed point of the unmodulated drive unless an
     explicit initial working point is given.  Samples every step, endpoints
-    included.
+    included.  The state is carried as Python floats; the drive at the end
+    of one step is reused at the start of the next.
     """
     if initial is None:
         from dataclasses import replace
         cw = replace(drive, mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
         initial = steady_means(params, cw)
     bare = initial.bare_detuning
+    rhs = _scalar_rhs(params, bare)
+    (c1, c2), (m1, m2) = drive.cw_amplitudes, drive.mod_amplitudes
+    w = drive.mod_frequency
+    cos = math.cos
 
     t0, t1 = t_span
     n_steps = max(1, int(round((t1 - t0) / dt)))
     dt = (t1 - t0) / n_steps
+    half = dt / 2
+    sixth = dt / 6
 
-    y = np.empty(8)
-    y[0:4:2] = initial.x
-    y[1:4:2] = initial.p
-    y[4::2] = initial.a.real
-    y[5::2] = initial.a.imag
+    y0, y1, y2, y3, y4, y5, y6, y7 = _state(initial)
+    ys = np.empty((n_steps + 1, 8))
+    ys[0] = y0, y1, y2, y3, y4, y5, y6, y7
+    cos_end = cos(w * t0)
+    for k in range(n_steps):
+        t = t0 + dt * k
+        cos_start = cos_end
+        cos_mid = cos(w * (t + half))
+        cos_end = cos(w * (t + dt))
+        e1, e2 = c1 + m1 * cos_mid, c2 + m2 * cos_mid
+        f0, f1, f2, f3, f4, f5, f6, f7 = rhs(
+            c1 + m1 * cos_start, c2 + m2 * cos_start,
+            y0, y1, y2, y3, y4, y5, y6, y7)
+        g0, g1, g2, g3, g4, g5, g6, g7 = rhs(
+            e1, e2, y0 + half * f0, y1 + half * f1, y2 + half * f2,
+            y3 + half * f3, y4 + half * f4, y5 + half * f5, y6 + half * f6,
+            y7 + half * f7)
+        h0, h1, h2, h3, h4, h5, h6, h7 = rhs(
+            e1, e2, y0 + half * g0, y1 + half * g1, y2 + half * g2,
+            y3 + half * g3, y4 + half * g4, y5 + half * g5, y6 + half * g6,
+            y7 + half * g7)
+        j0, j1, j2, j3, j4, j5, j6, j7 = rhs(
+            c1 + m1 * cos_end, c2 + m2 * cos_end,
+            y0 + dt * h0, y1 + dt * h1, y2 + dt * h2, y3 + dt * h3,
+            y4 + dt * h4, y5 + dt * h5, y6 + dt * h6, y7 + dt * h7)
+        y0 += sixth * (f0 + 2 * g0 + 2 * h0 + j0)
+        y1 += sixth * (f1 + 2 * g1 + 2 * h1 + j1)
+        y2 += sixth * (f2 + 2 * g2 + 2 * h2 + j2)
+        y3 += sixth * (f3 + 2 * g3 + 2 * h3 + j3)
+        y4 += sixth * (f4 + 2 * g4 + 2 * h4 + j4)
+        y5 += sixth * (f5 + 2 * g5 + 2 * h5 + j5)
+        y6 += sixth * (f6 + 2 * g6 + 2 * h6 + j6)
+        y7 += sixth * (f7 + 2 * g7 + 2 * h7 + j7)
+        ys[k + 1] = y0, y1, y2, y3, y4, y5, y6, y7
 
     ts = t0 + dt * np.arange(n_steps + 1)
-    ys = np.empty((n_steps + 1, 8))
-    ys[0] = y
-    for k in range(n_steps):
-        t = ts[k]
-        k1 = _mean_rhs(t, y, params, drive, bare)
-        k2 = _mean_rhs(t + dt / 2, y + dt / 2 * k1, params, drive, bare)
-        k3 = _mean_rhs(t + dt / 2, y + dt / 2 * k2, params, drive, bare)
-        k4 = _mean_rhs(t + dt, y + dt * k3, params, drive, bare)
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ys[k + 1] = y
-
-    x = ys[:, 0:4:2]
-    p = ys[:, 1:4:2]
     a = ys[:, 4::2] + 1j * ys[:, 5::2]
-    detuning = bare[None, :] + x @ params.g_lin.T + (x**2) @ params.g_quad.T
-    coupling = a[:, :, None] * (params.g_lin[None, :, :]
-                                + 2 * params.g_quad[None, :, :] * x[:, None, :])
-    omega_shifted = params.omega_mech[None, :] + 2 * (np.abs(a) ** 2) @ params.g_quad
-    return MeanTrajectory(t=ts, a=a, x=x, p=p, detuning=detuning,
-                          coupling=coupling, omega_shifted=omega_shifted,
-                          bare_detuning=bare)
+    return _trajectory(params, ts, ys[:, 0:4:2], ys[:, 1:4:2], a, bare)
 
 
 def quasistatic_means(params: DerivedParams, drive: DriveSpec,
-                      times: np.ndarray) -> MeanTrajectory:
+                      times: np.ndarray, max_iter: int = 10_000) -> MeanTrajectory:
     """Frozen-drive approximation: instantaneous fixed points at E_i(t).
 
     The bare detunings come from the CW fixed point of the unmodulated
     drive and are held fixed; each sample is then a self-consistent static
-    solution of the instantaneous amplitudes.
+    solution of the instantaneous amplitudes.  Raises ``ConvergenceError``
+    with the residual when a sample is not converged after ``max_iter``
+    damped iterations.
     """
     from dataclasses import replace
     cw = replace(drive, mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
@@ -203,36 +252,35 @@ def quasistatic_means(params: DerivedParams, drive: DriveSpec,
     x_cur = np.zeros(2)
     for idx, t in enumerate(times):
         e_t = np.array([drive.amplitude(1, t), drive.amplitude(2, t)])
-        for _ in range(10_000):
+        residual = math.inf
+        for _ in range(max_iter):
             delta = bare + params.g_lin @ x_cur + params.g_quad @ x_cur**2
             a_cur = e_t / (kappa + 1j * delta)
             n_phot = np.abs(a_cur) ** 2
             target = -(n_phot @ (params.g_lin + 2 * params.g_quad * x_cur[None, :])) \
                 / params.omega_mech
-            if np.max(np.abs(target - x_cur)) < 1e-12 * (1 + np.max(np.abs(target))):
+            residual = float(np.max(np.abs(target - x_cur))
+                             / (1 + np.max(np.abs(target))))
+            if residual < 1e-12:
                 x_cur = target
                 break
             x_cur = 0.5 * (x_cur + target)
+        else:
+            raise ConvergenceError(
+                f"quasistatic fixed point at t = {t:.6e} stalled "
+                f"(residual {residual:.3e})", residual)
         a[idx] = e_t / (kappa + 1j * (bare + params.g_lin @ x_cur
                                       + params.g_quad @ x_cur**2))
         x[idx] = x_cur
-    detuning = bare[None, :] + x @ params.g_lin.T + (x**2) @ params.g_quad.T
-    coupling = a[:, :, None] * (params.g_lin[None, :, :]
-                                + 2 * params.g_quad[None, :, :] * x[:, None, :])
-    omega_shifted = params.omega_mech[None, :] + 2 * (np.abs(a) ** 2) @ params.g_quad
-    return MeanTrajectory(t=np.asarray(times, dtype=float), a=a, x=x,
-                          p=np.zeros_like(x), detuning=detuning, coupling=coupling,
-                          omega_shifted=omega_shifted, bare_detuning=bare)
+    return _trajectory(params, np.asarray(times, dtype=float), x,
+                       np.zeros_like(x), a, bare)
 
 
 def fixed_point_residual(params: DerivedParams, drive: DriveSpec,
                          wp: WorkingPoint) -> float:
     """Relative norm of the CW mean-field equations at a working point."""
-    y = np.empty(8)
-    y[0:4:2] = wp.x
-    y[1:4:2] = wp.p
-    y[4::2] = wp.a.real
-    y[5::2] = wp.a.imag
-    rhs = _mean_rhs(0.0, y, params, drive, wp.bare_detuning)
-    scale = max(float(np.max(np.abs(y))), 1.0) * float(np.max(params.kappa))
-    return float(np.linalg.norm(rhs)) / scale
+    y = _state(wp)
+    rhs = _scalar_rhs(params, wp.bare_detuning)(
+        drive.amplitude(1, 0.0), drive.amplitude(2, 0.0), *y)
+    scale = max(max(abs(v) for v in y), 1.0) * float(np.max(params.kappa))
+    return math.hypot(*rhs) / scale

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import constants as const
-from scipy.optimize import brentq
 
-HBAR = const.hbar
-KB = const.k
-C_LIGHT = const.c
+# Exact SI (2019) values, equal to the ``scipy.constants`` ones; literals
+# keep ``scipy.constants`` out of the import.
+HBAR = 6.62607015e-34 / (2 * math.pi)
+KB = 1.380649e-23
+C_LIGHT = 299792458.0
 
 #: Cavity mode waist (m).  Calibrated once by root-finding so that a 15 mW
 #: trap laser yields a trap frequency of 2*pi*11 MHz for a 20 um x 150 nm
@@ -374,6 +374,8 @@ def calibrate_mode_waist(obj: ObjectSpec,
     volume dilutes the intensity), so a bracketed root always exists for
     sane inputs.
     """
+    from scipy.optimize import brentq   # lazy: only calibration needs it
+
     mass = derive_mass(obj)
     k0 = 2 * math.pi / trap_wavelength
     kappa0 = cavity_linewidth(finesse_eff, length)

@@ -137,19 +137,14 @@ def evolve(system: System, t_max_tau: float,
     if v0 is None:
         v0 = dynamics.lyapunov_steady(dynamics.build_drift(wp0, p), d)
     traj = dynamics.evolve_covariance(v0, a_half, d, dt, store_stride=store_stride)
+    del means, a_half   # free the half-step grids before the stacked analysis
     orbit = dynamics.quasi_steady_orbit(traj, omega_d)
 
-    n = len(traj)
-    eta = np.empty(n)
-    en = np.empty(n)
-    nb1 = np.empty(n)
-    nb2 = np.empty(n)
-    for k in range(n):
-        block = gaussian.mechanical_block(traj.v[k])
-        eta[k] = gaussian.eta_min(block)
-        en[k] = max(0.0, -math.log(2 * eta[k]))
-        nb1[k] = gaussian.phonon_occupation(block, 1)
-        nb2[k] = gaussian.phonon_occupation(block, 2)
+    block = gaussian.mechanical_block(traj.v)
+    eta = gaussian.eta_min(block)
+    en = np.maximum(0.0, -np.log(2 * eta))
+    nb1 = gaussian.phonon_occupation(block, 1)
+    nb2 = gaussian.phonon_occupation(block, 2)
     return EvolveResult(
         t_over_tau=traj.t / tau, eta_min=eta, log_neg=en, nbar1=nb1, nbar2=nb2,
         cov=dynamics.CovTrajectory(t=traj.t / tau, v=traj.v),

@@ -40,8 +40,10 @@ Schema (``schema_version: 1``)::
       steps_per_period: int
       store_per_period: int
     sweep:                   # optional, used by the sweep command
-      axis: detuning | control_fraction | mod_frequency
+      axis: detuning | control_fraction
       values: [...]          # same relative units as the drive section
+      # (no mod_frequency axis: sweep solves CW steady states, which carry
+      # no modulation; scan the drive frequency with one evolve per value)
 
 Unknown keys anywhere in the tree are rejected.
 """
@@ -64,7 +66,7 @@ SCHEMA_VERSION = 1
 #: Directory of regression scenarios shipped with the package.
 SHIPPED_DIR = Path(__file__).parent / "scenarios"
 
-SWEEP_AXES = ("detuning", "control_fraction", "mod_frequency")
+SWEEP_AXES = ("detuning", "control_fraction")
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ class Scenario:
                meanfield_quasistatic: bool = False) -> System:
         """Instantiate the dynamical system, optionally overriding one axis.
 
-        Overrides use the relative units of the sweep section: ``detuning``
+        Overrides use the relative units of the drive section: ``detuning``
         in units of Omega_1, ``control_fraction`` as a fraction of E0
         (applied to both control modes), ``mod_frequency`` in units of
         Omega_1 + Omega_2.
@@ -263,7 +265,9 @@ def _parse_sweep(section: dict) -> SweepSpec:
     _require_keys(section, {"axis", "values"}, "sweep")
     axis = section.get("axis")
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}")
+        raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}; steady "
+                          "states carry no modulation, so scan the modulation "
+                          "frequency with one evolve run per value")
     values = section.get("values")
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError("sweep.values must be a non-empty list")

@@ -11,6 +11,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
 from twintrap import dynamics, effective, gaussian, meanfield, pipeline, readout
@@ -98,6 +99,7 @@ def test_acceptance_04_cw_regression(fig1_scenario, fig1_steady):
 
 # 5 ------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_acceptance_05_modulated_regression(fig1_steady, fig2_sum_run,
                                             fig2_sum_scenario, fig2_half_run,
                                             fig2_half_scenario):
@@ -119,6 +121,7 @@ def test_acceptance_05_modulated_regression(fig1_steady, fig2_sum_run,
 
 # 6 ------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_acceptance_06_floquet_periodicity(fig2_sum_run, fig2_sum_scenario):
     system = fig2_sum_scenario.system()
     runs = {n: pipeline.evolve(system, t_max_tau=5.0, steps_per_period=n)
@@ -135,6 +138,7 @@ def test_acceptance_06_floquet_periodicity(fig2_sum_run, fig2_sum_scenario):
 
 # 7 ------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_acceptance_07_physicality(fig1_steady, fig2_sum_run, fig2_half_run,
                                    fig3_run_suppressed, fig3_run_full_recoil):
     worst = np.inf
@@ -236,6 +240,7 @@ def _reduced_verdict(sys_n, orbit, omega_d):
     return "entangled" if gaussian.eta_min(v) < 0.5 else "separable"
 
 
+@pytest.mark.slow
 def test_acceptance_08_effective_model_consistency(fig2_sum_scenario):
     sys_n = _weak_system()
     wsum = float(sys_n.params.omega_mech.sum())
@@ -277,6 +282,7 @@ def test_acceptance_09_stability_equivalence():
 
 # 10 -----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_acceptance_10_readout_round_trip(fig2_sum_run, fig2_sum_scenario):
     probe = readout.ProbeSpec(kappa=20.0, coupling_plus=1.0,
                               coupling_minus=1.0, mean_x1=1.0, mean_x2=0.9)
@@ -302,6 +308,7 @@ def test_acceptance_10_readout_round_trip(fig2_sum_run, fig2_sum_scenario):
 
 # 11 -----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_acceptance_11_nanosphere_contrast(fig3_scenario, fig3_run_suppressed,
                                            fig3_run_full_recoil):
     eta_low = fig3_run_suppressed.eta_min[

@@ -202,6 +202,16 @@ def test_blowup_detected():
                           dt=0.05)
 
 
+def test_blowup_detected_on_nan_drift():
+    rng = np.random.default_rng(16)
+    a_half = constant_half_grid(random_stable_drift(rng), 50)
+    a_half[41, 2, 3] = np.nan
+    with pytest.raises(BlowupError) as err:
+        evolve_covariance(np.eye(8), a_half, np.eye(8), dt=0.01)
+    # Sample 41 is the midpoint of step 21 (1-based): the step ending at 0.21.
+    assert math.isclose(err.value.t, 0.21)
+
+
 def test_fourth_order_convergence_sinusoidal_drift():
     """Step-halving shrinks the global error ~16x for the RK4 scheme."""
     rng = np.random.default_rng(14)

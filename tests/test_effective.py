@@ -195,6 +195,7 @@ def test_reduced_evolve_approaches_steady_state():
     assert np.allclose(vs[-1], v_inf, rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.slow
 def test_pipeline_effective_report(fig2_sum_scenario):
     system = fig2_sum_scenario.system()
     report = pipeline.effective_report(system)

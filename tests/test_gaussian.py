@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from twintrap import gaussian
+from twintrap import gaussian, pipeline
 from twintrap.gaussian import (EntanglementReport, eta_min, log_negativity,
                                mechanical_block, partial_transpose,
                                phonon_occupation, report_from_covariance,
@@ -151,3 +151,51 @@ def test_rejects_asymmetric_input():
 def test_rejects_non_positive_input():
     with pytest.raises(ValueError):
         symplectic_spectrum(-np.eye(4))
+
+
+# ---------------------------------------------------------------- stacks
+
+def test_stacked_eta_min_matches_per_matrix(fig2_sum_scenario):
+    run = pipeline.evolve(fig2_sum_scenario.system(), t_max_tau=2.0)
+    assert len(run.cov) > 100
+    one_by_one = np.array([eta_min(v) for v in run.cov.v])
+    assert np.array_equal(eta_min(run.cov.v), one_by_one)
+    assert np.array_equal(run.eta_min, one_by_one)
+    assert np.array_equal(phonon_occupation(run.cov.v, 2),
+                          [phonon_occupation(v, 2) for v in run.cov.v])
+
+
+def physical_stack():
+    return np.stack([two_mode_squeezed_cov(r, n_mean=0.2)
+                     for r in (0.1, 0.4, 0.7)])
+
+
+def test_stack_rejects_one_asymmetric_matrix():
+    stack = physical_stack()
+    stack[1, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="symmetric.*matrix 1"):
+        eta_min(stack)
+
+
+def test_stack_rejects_one_non_positive_matrix():
+    stack = physical_stack()
+    stack[2] = -stack[2]
+    with pytest.raises(ValueError, match="positive definite.*matrix 2"):
+        eta_min(stack)
+
+
+def test_stack_rejects_one_unpaired_spectrum(monkeypatch):
+    # In exact arithmetic the spectrum of Sigma V always pairs, so the
+    # failure is injected: one eigenvalue of the first matrix is shifted.
+    real_eigvals = np.linalg.eigvals
+
+    def shifted(m):
+        out = real_eigvals(m)
+        out[0, 0] *= 1.001
+        return out
+
+    stack = physical_stack()
+    eta_min(stack)
+    monkeypatch.setattr(gaussian.np.linalg, "eigvals", shifted)
+    with pytest.raises(ValueError, match="pair.*matrix 0"):
+        eta_min(stack)

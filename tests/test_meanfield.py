@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from twintrap import meanfield, model
-from twintrap.meanfield import (fixed_point_residual, integrate_means,
-                                quasistatic_means, steady_means)
+from twintrap.meanfield import (ConvergenceError, fixed_point_residual,
+                                integrate_means, quasistatic_means,
+                                steady_means)
 
 
 def cw_drive(drive):
@@ -102,6 +104,39 @@ def test_modulated_means_oscillate_at_drive_period(fig2_sum_scenario):
     assert (abs(tail).max() - abs(tail).min()) / abs(tail).mean() > 0.01
 
 
+def test_integration_matches_solve_ivp(fig2_sum_scenario):
+    # Reference: the coherent equations in complex NumPy form, integrated by
+    # an adaptive 8th-order solver, over five drive periods (Omega_1 = 1).
+    system = fig2_sum_scenario.system()
+    sys_n = system.rescaled(float(system.params.omega_mech[0]))
+    p, drv = sys_n.params, sys_n.drive
+    wp0 = steady_means(p, cw_drive(drv))
+    kappa, bare = p.kappa_control(), wp0.bare_detuning
+
+    def rhs(t, y):
+        x, mom, a = y[0:4:2], y[1:4:2], y[4::2] + 1j * y[5::2]
+        delta = bare + p.g_lin @ x + p.g_quad @ x**2
+        e_t = np.array([drv.amplitude(1, t), drv.amplitude(2, t)])
+        da = -(kappa + 1j * delta) * a + e_t
+        out = np.empty(8)
+        out[0:4:2] = p.omega_mech * mom
+        out[1:4:2] = -p.omega_mech * x - p.gamma * mom \
+            - np.abs(a) ** 2 @ (p.g_lin + 2 * p.g_quad * x[None, :])
+        out[4::2], out[5::2] = da.real, da.imag
+        return out
+
+    period = 2 * math.pi / drv.mod_frequency
+    traj = integrate_means(p, drv, (0.0, 5 * period), period / 256,
+                           initial=wp0)
+    y = np.column_stack([traj.x[:, 0], traj.p[:, 0], traj.x[:, 1],
+                         traj.p[:, 1], traj.a.real[:, 0], traj.a.imag[:, 0],
+                         traj.a.real[:, 1], traj.a.imag[:, 1]])
+    ref = solve_ivp(rhs, (0.0, 5 * period), y[0], method="DOP853",
+                    rtol=1e-12, atol=1e-12 * np.max(np.abs(y[0])),
+                    t_eval=traj.t).y.T
+    assert np.max(np.abs(y - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
 def test_quasistatic_points_are_instantaneous_fixed_points(fig2_sum_scenario):
     system = fig2_sum_scenario.system()
     p, drv = system.params, system.drive
@@ -124,3 +159,11 @@ def test_quasistatic_matches_steady_when_unmodulated(fig1_scenario):
     traj = quasistatic_means(p, drv, np.array([0.0, 1e-6]))
     assert np.allclose(traj.a[0], wp.a, rtol=1e-9)
     assert np.allclose(traj.x[0], wp.x, rtol=1e-9)
+
+
+def test_quasistatic_raises_when_not_converged(fig2_sum_scenario):
+    system = fig2_sum_scenario.system()
+    times = np.linspace(0.0, 2 * math.pi / system.drive.mod_frequency, 3)
+    with pytest.raises(ConvergenceError) as err:
+        quasistatic_means(system.params, system.drive, times, max_iter=1)
+    assert err.value.residual > 0

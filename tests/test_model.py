@@ -5,6 +5,10 @@ defining formulas (plain float evaluation, no package code).
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -233,3 +237,26 @@ def test_calibrate_mode_waist_round_trip():
     waist = model.calibrate_mode_waist(DISK, 1e-3, 1.064e-6, 7e5, 15e-3,
                                        2 * math.pi * 11e6)
     assert rel(waist, model.DEFAULT_MODE_WAIST) < 1e-6
+
+
+# ------------------------------------------------------------ import cost
+
+def test_constants_equal_scipy_values():
+    from scipy import constants
+    assert model.HBAR == constants.hbar
+    assert model.KB == constants.k
+    assert model.C_LIGHT == constants.c
+
+
+def test_import_leaves_heavy_scipy_modules_out():
+    # scipy.optimize is imported only when a mode waist is calibrated, and
+    # the physical constants are literals.
+    code = ("import sys, twintrap; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.optimize', 'scipy.constants'))))")
+    package_root = str(Path(model.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -194,6 +194,26 @@ def test_sweep_requires_sweep_section(tmp_path, capsys):
     assert cli.main(["sweep", "--scenario", str(path)]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("verb", ["validate", "sweep"])
+def test_mod_frequency_sweep_axis_rejected(tmp_path, capsys, verb):
+    # A steady-state sweep drops the modulation, so every row of a
+    # modulation-frequency scan would be the CW state; the message points
+    # at evolve instead.
+    with open(shipped_scenario("fig2_sum")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["sweep"] = {"axis": "mod_frequency", "values": [0.5, 1.0, 2.0]}
+    path = write_scenario(tmp_path, doc)
+    assert cli.main([verb, "--scenario", str(path)]) == cli.EXIT_CONFIG
+    assert "evolve" in capsys.readouterr().err
+
+
+def test_mod_frequency_override_still_applies(fig2_sum_scenario):
+    w1, w2 = fig2_sum_scenario.system().params.omega_mech
+    system = fig2_sum_scenario.system(mod_frequency=0.5)
+    assert math.isclose(system.drive.mod_frequency, 0.5 * (w1 + w2))
+
+
+@pytest.mark.slow
 def test_effective_report_json(tmp_path):
     code = cli.main(["effective", "--scenario",
                      str(shipped_scenario("fig2_sum")), "--out",
@@ -206,6 +226,7 @@ def test_effective_report_json(tmp_path):
     assert abs(doc["j_first"][0][1]) > abs(doc["j_second"][0][1])
 
 
+@pytest.mark.slow
 def test_jformula_flag_changes_scale(tmp_path):
     outs = {}
     for tag, flag in (("p", "printed"), ("s", "single-power")):
