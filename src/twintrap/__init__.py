@@ -34,7 +34,7 @@ from .dynamics import (
     StabilityReport,
     UnstableSystemError,
     build_diffusion,
-    build_drift,
+    drift_samples,
     evolve_covariance,
     lyapunov_steady,
     quasi_steady_orbit,
@@ -52,7 +52,7 @@ from .gaussian import (
 from .effective import (
     HarmonicDecomposition,
     ProcessTag,
-    effective_J,
+    effective_J_series,
     modulation_harmonics,
     reduced_steady_state,
     reduced_two_mode_evolve,

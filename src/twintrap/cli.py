@@ -23,7 +23,6 @@ import csv
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +60,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("csv", "report"),
                          default="report",
                          help="tabular CSV or structured JSON report")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for sweep grids")
         cmd.add_argument("--diffusion", choices=("exact", "high-t"),
                          default="exact",
                          help="mechanical noise strength: exact Bose factor "
@@ -162,25 +159,13 @@ def cmd_sweep(scenario: Scenario, args) -> int:
         raise ConfigError("scenario has no sweep section")
     axis = scenario.sweep.axis
 
-    def one(value: float):
+    rows = []
+    any_unstable = False
+    for value in scenario.sweep.values:   # input order: deterministic output
         system = _system(scenario, args, **{axis: value})
         try:
             report, _ = pipeline.steady_state(system)
-            return value, report, None
-        except UnstableSystemError as exc:
-            return value, None, exc
-
-    values = scenario.sweep.values
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, values))
-    else:
-        results = [one(v) for v in values]
-
-    rows = []
-    any_unstable = False
-    for value, report, err in results:   # input order: deterministic output
-        if report is None:
+        except UnstableSystemError:
             any_unstable = True
             rows.append([f"{value:.12g}", "", "", "", "", "unstable"])
         else:

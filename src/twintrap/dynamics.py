@@ -35,31 +35,6 @@ class BlowupError(RuntimeError):
         self.t = t
 
 
-def build_drift(wp: WorkingPoint, params: DerivedParams) -> np.ndarray:
-    """8x8 drift matrix of the linearized fluctuation equations."""
-    a = np.zeros((8, 8))
-    g = wp.coupling  # (i, j) complex
-    kappa = params.kappa_control()
-    for j in range(2):
-        xr, pr = 2 * j, 2 * j + 1
-        a[xr, pr] = params.omega_mech[j]
-        a[pr, xr] = -wp.omega_shifted[j]
-        a[pr, pr] = -params.gamma[j]
-        for i in range(2):
-            xc, yc = 4 + 2 * i, 5 + 2 * i
-            a[pr, xc] = -SQRT2 * g[i, j].real
-            a[pr, yc] = -SQRT2 * g[i, j].imag
-            a[xc, xr] = SQRT2 * g[i, j].imag
-            a[yc, xr] = -SQRT2 * g[i, j].real
-    for i in range(2):
-        xc, yc = 4 + 2 * i, 5 + 2 * i
-        a[xc, xc] = -kappa[i]
-        a[xc, yc] = wp.detuning[i]
-        a[yc, xc] = -wp.detuning[i]
-        a[yc, yc] = -kappa[i]
-    return a
-
-
 def build_diffusion(params: DerivedParams, high_t: bool = False) -> np.ndarray:
     """Diagonal diffusion matrix of the noise correlations.
 
@@ -176,52 +151,57 @@ class CovTrajectory:
     """Covariance samples V(t_k) on a uniform stored grid."""
 
     t: np.ndarray            # (n,)
-    v: np.ndarray            # (n, 8, 8)
+    v: np.ndarray            # (n, 8, 8); (n, 4, 4) for the reduced model
 
     def __len__(self) -> int:
         return len(self.t)
 
 
-def drift_samples(traj: MeanTrajectory, params: DerivedParams) -> np.ndarray:
-    """Drift matrices at every mean-trajectory sample (vectorized assembly)."""
-    n = len(traj)
-    a = np.zeros((n, 8, 8))
-    g = traj.coupling
+def drift_samples(traj: MeanTrajectory | WorkingPoint,
+                  params: DerivedParams) -> np.ndarray:
+    """Drift matrix of the linearized fluctuation equations at every sample.
+
+    Returns shape (n, 8, 8) for a ``MeanTrajectory`` of n samples and
+    (8, 8) for a single ``WorkingPoint``.
+    """
+    g = traj.coupling  # (..., i, j) complex
+    a = np.zeros(g.shape[:-2] + (8, 8))
     kappa = params.kappa_control()
     for j in range(2):
         xr, pr = 2 * j, 2 * j + 1
-        a[:, xr, pr] = params.omega_mech[j]
-        a[:, pr, xr] = -traj.omega_shifted[:, j]
-        a[:, pr, pr] = -params.gamma[j]
+        a[..., xr, pr] = params.omega_mech[j]
+        a[..., pr, xr] = -traj.omega_shifted[..., j]
+        a[..., pr, pr] = -params.gamma[j]
         for i in range(2):
             xc, yc = 4 + 2 * i, 5 + 2 * i
-            a[:, pr, xc] = -SQRT2 * g[:, i, j].real
-            a[:, pr, yc] = -SQRT2 * g[:, i, j].imag
-            a[:, xc, xr] = SQRT2 * g[:, i, j].imag
-            a[:, yc, xr] = -SQRT2 * g[:, i, j].real
+            a[..., pr, xc] = -SQRT2 * g[..., i, j].real
+            a[..., pr, yc] = -SQRT2 * g[..., i, j].imag
+            a[..., xc, xr] = SQRT2 * g[..., i, j].imag
+            a[..., yc, xr] = -SQRT2 * g[..., i, j].real
     for i in range(2):
         xc, yc = 4 + 2 * i, 5 + 2 * i
-        a[:, xc, xc] = -kappa[i]
-        a[:, xc, yc] = traj.detuning[:, i]
-        a[:, yc, xc] = -traj.detuning[:, i]
-        a[:, yc, yc] = -kappa[i]
+        a[..., xc, xc] = -kappa[i]
+        a[..., xc, yc] = traj.detuning[..., i]
+        a[..., yc, xc] = -traj.detuning[..., i]
+        a[..., yc, yc] = -kappa[i]
     return a
 
 
 def evolve_covariance(v0: np.ndarray, a_half: np.ndarray, d: np.ndarray,
                       dt: float, t0: float = 0.0,
                       store_stride: int = 1) -> CovTrajectory:
-    """RK4 integration of V' = A(t) V + V A(t)^T + D.
+    """RK4 integration of V' = A(t) V + V A(t)^T + D for n x n matrices.
 
     ``a_half`` holds drift matrices on the half-step grid: 2N + 1 samples at
-    spacing dt/2 for N steps, so the RK4 stages see the exact drift without
-    interpolation.  Each stage is formed as M = A V, K = M + M^T + D (D
-    symmetrized once), which is exactly symmetric, so V stays exactly
-    symmetric without re-symmetrization.  A non-finite covariance, or one
-    whose norm exceeds 1e6 x the initial norm, raises ``BlowupError``.
+    spacing dt/2 for N steps (``np.broadcast_to`` serves a constant drift),
+    so the RK4 stages see the exact drift without interpolation.  Each stage
+    is formed as M = A V, K = M + M^T + D (D symmetrized once), which is
+    exactly symmetric, so V stays exactly symmetric without
+    re-symmetrization.  A non-finite covariance, or one whose norm exceeds
+    1e6 x the initial norm, raises ``BlowupError``.
     """
     if a_half.ndim != 3 or a_half.shape[0] % 2 == 0:
-        raise ValueError("a_half must hold an odd number of 8x8 samples")
+        raise ValueError("a_half must hold an odd number of drift samples")
     n_steps = (a_half.shape[0] - 1) // 2
     v = np.asarray(v0, dtype=float)
     v = 0.5 * (v + v.T)
@@ -232,7 +212,7 @@ def evolve_covariance(v0: np.ndarray, a_half: np.ndarray, d: np.ndarray,
 
     n_stored = n_steps // store_stride + 1
     out_t = np.empty(n_stored)
-    out_v = np.empty((n_stored, 8, 8))
+    out_v = np.empty((n_stored,) + v.shape)
     out_t[0] = t0
     out_v[0] = v
     stored = 1

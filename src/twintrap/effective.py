@@ -8,30 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import evolve_covariance
 from .model import DerivedParams
 from .meanfield import MeanTrajectory, WorkingPoint
-
-
-def effective_J(wp: WorkingPoint, params: DerivedParams,
-                single_power: bool = False) -> np.ndarray:
-    """2x2 mechanical-mechanical coupling matrix at one working point.
-
-    J_jl = sum_i [kappa_i Im(G_ij G_il*) + Delta_i Re(G_ij G_il*)]
-           / (kappa_i^2 + Delta_i^2)^2.
-
-    ``single_power`` drops the square on the denominator (the standard
-    adiabatic-elimination scaling) for sensitivity studies; the default
-    keeps the literal form.
-    """
-    kappa = params.kappa_control()
-    j = np.zeros((2, 2))
-    for i in range(2):
-        gg = np.outer(wp.coupling[i], wp.coupling[i].conj())
-        denom = kappa[i] ** 2 + wp.detuning[i] ** 2
-        if not single_power:
-            denom = denom**2
-        j += (kappa[i] * gg.imag + wp.detuning[i] * gg.real) / denom
-    return 0.5 * (j + j.T)
 
 
 def weak_coupling_ok(wp: WorkingPoint, params: DerivedParams) -> bool:
@@ -39,19 +18,29 @@ def weak_coupling_ok(wp: WorkingPoint, params: DerivedParams) -> bool:
     return bool(np.all(np.abs(wp.coupling) < params.kappa_control()[:, None]))
 
 
-def effective_J_series(traj: MeanTrajectory, params: DerivedParams,
+def effective_J_series(traj: MeanTrajectory | WorkingPoint, params: DerivedParams,
                        single_power: bool = False) -> np.ndarray:
-    """J(t) for every trajectory sample, shape (n, 2, 2)."""
+    """Mechanical-mechanical coupling matrix J at every sample.
+
+    J_jl = sum_i [kappa_i Im(G_ij G_il*) + Delta_i Re(G_ij G_il*)]
+           / (kappa_i^2 + Delta_i^2)^2,
+
+    shape (n, 2, 2) for a ``MeanTrajectory`` of n samples and (2, 2) for a
+    single ``WorkingPoint``.  ``single_power`` drops the square on the
+    denominator (the standard adiabatic-elimination scaling) for
+    sensitivity studies; the default keeps the literal form.
+    """
     kappa = params.kappa_control()
-    out = np.zeros((len(traj), 2, 2))
+    out = np.zeros(traj.coupling.shape[:-2] + (2, 2))
     for i in range(2):
-        gg = traj.coupling[:, i, :, None] * traj.coupling[:, i, None, :].conj()
-        denom = kappa[i] ** 2 + traj.detuning[:, i] ** 2
+        g = traj.coupling[..., i, :]
+        gg = g[..., :, None] * g[..., None, :].conj()
+        denom = kappa[i] ** 2 + traj.detuning[..., i] ** 2
         if not single_power:
             denom = denom**2
-        out += (kappa[i] * gg.imag + traj.detuning[:, i, None, None] * gg.real) \
-            / denom[:, None, None]
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
+        out += (kappa[i] * gg.imag + traj.detuning[..., i, None, None] * gg.real) \
+            / denom[..., None, None]
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -194,28 +183,15 @@ def reduced_two_mode_evolve(harmonics: HarmonicDecomposition,
     resonant with Omega1 + Omega2.  Noise is local and thermal: damping
     rates ``damping`` (gamma + Gamma per mode) with bath occupations
     ``n_bath``.  Returns (times, V(t)) with V 4x4 in (x1, p1, x2, p2).
+    Raises ``BlowupError`` when V grows without bound (above threshold).
     """
     a, d = _reduced_generator(harmonics, omega1, omega2, damping, n_bath, omega_d)
-    v = np.eye(4) * 0.5 if v0 is None else 0.5 * (np.asarray(v0) + np.asarray(v0).T)
     t0, t1 = t_span
     n_steps = max(1, int(round((t1 - t0) / dt)))
-    dt = (t1 - t0) / n_steps
-    ts = t0 + dt * np.arange(n_steps + 1)
-    vs = np.empty((n_steps + 1, 4, 4))
-    vs[0] = v
-
-    def rhs(w):
-        return a @ w + w @ a.T + d
-
-    for k in range(n_steps):
-        k1 = rhs(v)
-        k2 = rhs(v + dt / 2 * k1)
-        k3 = rhs(v + dt / 2 * k2)
-        k4 = rhs(v + dt * k3)
-        v = v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        v = 0.5 * (v + v.T)
-        vs[k + 1] = v
-    return ts, vs
+    traj = evolve_covariance(np.eye(4) * 0.5 if v0 is None else v0,
+                             np.broadcast_to(a, (2 * n_steps + 1, 4, 4)), d,
+                             (t1 - t0) / n_steps, t0=t0)
+    return traj.t, traj.v
 
 
 def reduced_steady_state(harmonics: HarmonicDecomposition,

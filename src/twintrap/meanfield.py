@@ -61,6 +61,29 @@ class MeanTrajectory:
             omega_shifted=self.omega_shifted[idx], bare_detuning=self.bare_detuning,
         )
 
+    def __getitem__(self, window: slice) -> "MeanTrajectory":
+        """The samples in ``window``, as a trajectory with the same bare detunings."""
+        return MeanTrajectory(
+            self.t[window], self.a[window], self.x[window], self.p[window],
+            self.detuning[window], self.coupling[window],
+            self.omega_shifted[window], self.bare_detuning)
+
+
+def _detuning(params: DerivedParams, bare: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Delta_i from the bare detunings and the mean positions, shape (2,) or (n, 2).
+
+    With ``bare`` = 0 this is the displacement shift Delta_i - delta_i.
+    """
+    return bare + x @ params.g_lin.T + (x**2) @ params.g_quad.T
+
+
+def _displacement_target(params: DerivedParams, n_phot: np.ndarray,
+                         x: np.ndarray) -> np.ndarray:
+    """Mean positions balancing the trap against the radiation pressure of
+    ``n_phot`` photons per control mode, with the couplings taken at ``x``."""
+    return -(n_phot @ (params.g_lin + 2 * params.g_quad * x[None, :])) \
+        / params.omega_mech
+
 
 def _effective_quantities(params: DerivedParams, a: np.ndarray, x: np.ndarray,
                           bare_detuning: np.ndarray):
@@ -68,7 +91,7 @@ def _effective_quantities(params: DerivedParams, a: np.ndarray, x: np.ndarray,
 
     ``a`` and ``x`` are one point, shape (2,), or a trajectory, shape (n, 2).
     """
-    detuning = bare_detuning + x @ params.g_lin.T + (x**2) @ params.g_quad.T
+    detuning = _detuning(params, bare_detuning, x)
     coupling = a[..., :, None] * (params.g_lin + 2 * params.g_quad * x[..., None, :])
     omega_shifted = params.omega_mech + 2 * (np.abs(a) ** 2) @ params.g_quad
     return detuning, coupling, omega_shifted
@@ -95,8 +118,7 @@ def steady_means(params: DerivedParams, drive: DriveSpec,
     x = np.zeros(2)
     residual = math.inf
     for _ in range(max_iter):
-        target = -(n_phot @ (params.g_lin + 2 * params.g_quad * x[None, :])) \
-            / params.omega_mech
+        target = _displacement_target(params, n_phot, x)
         residual = float(np.max(np.abs(target - x)) / (1 + np.max(np.abs(target))))
         x = (1 - damping) * x + damping * target
         if residual < tol:
@@ -106,7 +128,7 @@ def steady_means(params: DerivedParams, drive: DriveSpec,
             f"mean-field fixed point stalled (residual {residual:.3e}); "
             "scenario may be bistable", residual)
 
-    bare = delta_eff - (params.g_lin @ x + params.g_quad @ x**2)
+    bare = delta_eff - _detuning(params, 0.0, x)
     detuning, coupling, omega_shifted = _effective_quantities(params, a, x, bare)
     return WorkingPoint(t=0.0, a=a, x=x, p=np.zeros(2), detuning=detuning,
                         coupling=coupling, omega_shifted=omega_shifted,
@@ -176,9 +198,7 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
     of one step is reused at the start of the next.
     """
     if initial is None:
-        from dataclasses import replace
-        cw = replace(drive, mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
-        initial = steady_means(params, cw)
+        initial = steady_means(params, drive.unmodulated())
     bare = initial.bare_detuning
     rhs = _scalar_rhs(params, bare)
     (c1, c2), (m1, m2) = drive.cw_amplitudes, drive.mod_amplitudes
@@ -241,9 +261,7 @@ def quasistatic_means(params: DerivedParams, drive: DriveSpec,
     with the residual when a sample is not converged after ``max_iter``
     damped iterations.
     """
-    from dataclasses import replace
-    cw = replace(drive, mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
-    bare = steady_means(params, cw).bare_detuning
+    bare = steady_means(params, drive.unmodulated()).bare_detuning
     kappa = params.kappa_control()
 
     n = len(times)
@@ -254,11 +272,8 @@ def quasistatic_means(params: DerivedParams, drive: DriveSpec,
         e_t = np.array([drive.amplitude(1, t), drive.amplitude(2, t)])
         residual = math.inf
         for _ in range(max_iter):
-            delta = bare + params.g_lin @ x_cur + params.g_quad @ x_cur**2
-            a_cur = e_t / (kappa + 1j * delta)
-            n_phot = np.abs(a_cur) ** 2
-            target = -(n_phot @ (params.g_lin + 2 * params.g_quad * x_cur[None, :])) \
-                / params.omega_mech
+            a_cur = e_t / (kappa + 1j * _detuning(params, bare, x_cur))
+            target = _displacement_target(params, np.abs(a_cur) ** 2, x_cur)
             residual = float(np.max(np.abs(target - x_cur))
                              / (1 + np.max(np.abs(target))))
             if residual < 1e-12:
@@ -269,8 +284,7 @@ def quasistatic_means(params: DerivedParams, drive: DriveSpec,
             raise ConvergenceError(
                 f"quasistatic fixed point at t = {t:.6e} stalled "
                 f"(residual {residual:.3e})", residual)
-        a[idx] = e_t / (kappa + 1j * (bare + params.g_lin @ x_cur
-                                      + params.g_quad @ x_cur**2))
+        a[idx] = a_cur
         x[idx] = x_cur
     return _trajectory(params, np.asarray(times, dtype=float), x,
                        np.zeros_like(x), a, bare)

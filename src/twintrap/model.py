@@ -8,7 +8,7 @@ every quadrature is 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -183,26 +183,36 @@ class DriveSpec:
             return e0
         return e0 + e1 * math.cos(self.mod_frequency * t)
 
+    def unmodulated(self) -> "DriveSpec":
+        """The CW part of the drive: modulation amplitudes and frequency zeroed."""
+        return replace(self, mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
+
+
+#: Field metadata marking a ``DerivedParams`` entry as a rate.
+RATE = {"rate": True}
+
 
 @dataclass(frozen=True)
 class DerivedParams:
     """Every rate and coupling the linearized dynamics needs.
 
     Index conventions: ``i`` runs over the two control modes, ``j`` over the
-    two mechanical objects.  Arrays below are shaped accordingly.
+    two mechanical objects.  Arrays below are shaped accordingly.  Fields
+    declared with ``RATE`` metadata are rates (rad/s); a change of time unit
+    divides exactly these.
     """
 
     mass: np.ndarray                 # (2,) kg
-    omega_mech: np.ndarray           # (2,) trap frequencies Omega_j
+    omega_mech: np.ndarray = field(metadata=RATE)  # (2,) trap frequencies Omega_j
     x_zp: np.ndarray                 # (2,) zero-point motion (m)
-    gamma: np.ndarray                # (2,) gas/tether damping
-    recoil: np.ndarray               # (2,) photon-recoil heating dn/dt, Gamma_j
+    gamma: np.ndarray = field(metadata=RATE)       # (2,) gas/tether damping
+    recoil: np.ndarray = field(metadata=RATE)      # (2,) photon-recoil heating dn/dt, Gamma_j
     n_thermal: np.ndarray            # (2,) thermal occupancy
-    kappa: np.ndarray                # (3,) cavity linewidths, trap first
+    kappa: np.ndarray = field(metadata=RATE)       # (3,) cavity linewidths, trap first
     mode_volume: float
-    g_bare: np.ndarray               # (3, 2) single-photon couplings g_ij
-    g_lin: np.ndarray                # (2, 2) control-mode linear couplings
-    g_quad: np.ndarray               # (2, 2) control-mode quadratic couplings
+    g_bare: np.ndarray = field(metadata=RATE)      # (3, 2) single-photon couplings g_ij
+    g_lin: np.ndarray = field(metadata=RATE)       # (2, 2) control-mode linear couplings
+    g_quad: np.ndarray = field(metadata=RATE)      # (2, 2) control-mode quadratic couplings
     trap_photons: float              # |<a_0>|^2
     lamb_dicke: np.ndarray           # (3, 2) k_i * x_zp,j
 

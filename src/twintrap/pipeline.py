@@ -9,7 +9,7 @@ tau = 4 pi / (Omega_1 + Omega_2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,16 +36,8 @@ class System:
     def rescaled(self, scale: float) -> "System":
         """All rates divided by ``scale`` (time measured in 1/scale units)."""
         p = self.params
-        params = replace(
-            p,
-            omega_mech=p.omega_mech / scale,
-            gamma=p.gamma / scale,
-            recoil=p.recoil / scale,
-            kappa=p.kappa / scale,
-            g_lin=p.g_lin / scale,
-            g_quad=p.g_quad / scale,
-            g_bare=p.g_bare / scale,
-        )
+        params = replace(p, **{f.name: getattr(p, f.name) / scale
+                               for f in fields(p) if f.metadata.get("rate")})
         drive = replace(
             self.drive,
             trap_amplitude=self.drive.trap_amplitude / scale,
@@ -70,15 +62,10 @@ def timestep(system: System) -> float:
 def steady_state(system: System) -> tuple[gaussian.EntanglementReport, np.ndarray]:
     """CW steady state: fixed point, Lyapunov solve, entanglement report."""
     sys_n = system.rescaled(float(system.params.omega_mech[0]))
-    cw = replace(sys_n.drive, mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
-    wp = meanfield.steady_means(sys_n.params, cw)
-    a = dynamics.build_drift(wp, sys_n.params)
+    wp = meanfield.steady_means(sys_n.params, sys_n.drive.unmodulated())
+    a = dynamics.drift_samples(wp, sys_n.params)
     d = dynamics.build_diffusion(sys_n.params, high_t=sys_n.diffusion_high_t)
-    report = dynamics.stability_check(a)
-    if not report.stable:
-        raise dynamics.UnstableSystemError(
-            f"CW working point is {report.verdict} (margin {report.margin:.3e})")
-    v = dynamics.lyapunov_steady(a, d)
+    v = dynamics.lyapunov_steady(a, d)   # raises UnstableSystemError
     return gaussian.report_from_covariance(v, stable=True), v
 
 
@@ -123,8 +110,7 @@ def evolve(system: System, t_max_tau: float,
     n_periods = max(1, int(math.ceil(t_max_tau * tau / period)))
     n_steps = n_periods * steps_per_period
 
-    cw = replace(drv, mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
-    wp0 = meanfield.steady_means(p, cw)
+    wp0 = meanfield.steady_means(p, drv.unmodulated())
     if system.meanfield_quasistatic:
         times = 0.5 * dt * np.arange(2 * n_steps + 1)
         means = meanfield.quasistatic_means(p, drv, times)
@@ -135,7 +121,7 @@ def evolve(system: System, t_max_tau: float,
     d = dynamics.build_diffusion(p, high_t=sys_n.diffusion_high_t)
 
     if v0 is None:
-        v0 = dynamics.lyapunov_steady(dynamics.build_drift(wp0, p), d)
+        v0 = dynamics.lyapunov_steady(dynamics.drift_samples(wp0, p), d)
     traj = dynamics.evolve_covariance(v0, a_half, d, dt, store_stride=store_stride)
     del means, a_half   # free the half-step grids before the stacked analysis
     orbit = dynamics.quasi_steady_orbit(traj, omega_d)
@@ -173,8 +159,7 @@ def effective_report(system: System, periods: int = 1,
     sys_n = system.rescaled(scale)
     p, drv = sys_n.params, sys_n.drive
 
-    cw = replace(drv, mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
-    wp = meanfield.steady_means(p, cw)
+    wp = meanfield.steady_means(p, drv.unmodulated())
     omega_d = drv.mod_frequency
 
     if omega_d > 0:
@@ -185,20 +170,12 @@ def effective_report(system: System, periods: int = 1,
         n_settle = int(math.ceil(settle / dt))
         n_proj = periods * int(math.ceil(period / dt))
         dt = periods * period / n_proj
-        traj = meanfield.integrate_means(
-            p, drv, (0.0, (n_settle + n_proj) * dt), dt, initial=wp)
-        tail_t = traj.t[n_settle:]
-        j_t = effective.effective_J_series(
-            meanfield.MeanTrajectory(
-                t=tail_t, a=traj.a[n_settle:], x=traj.x[n_settle:],
-                p=traj.p[n_settle:], detuning=traj.detuning[n_settle:],
-                coupling=traj.coupling[n_settle:],
-                omega_shifted=traj.omega_shifted[n_settle:],
-                bare_detuning=traj.bare_detuning),
-            p, single_power=single_power)
-        harm = effective.modulation_harmonics(tail_t, j_t, omega_d)
+        tail = meanfield.integrate_means(
+            p, drv, (0.0, (n_settle + n_proj) * dt), dt, initial=wp)[n_settle:]
+        j_t = effective.effective_J_series(tail, p, single_power=single_power)
+        harm = effective.modulation_harmonics(tail.t, j_t, omega_d)
     else:
-        j0 = effective.effective_J(wp, p, single_power=single_power)
+        j0 = effective.effective_J_series(wp, p, single_power=single_power)
         harm = effective.HarmonicDecomposition(
             dc=j0, first=np.zeros((2, 2)), second=np.zeros((2, 2)), residual=0.0)
 

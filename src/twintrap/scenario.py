@@ -127,13 +127,14 @@ class Scenario:
         if control_fraction is not None:
             cw = (control_fraction * e0, control_fraction * e0)
 
-        # The trap frequency does not depend on detuning or modulation, so a
-        # probe derivation with placeholder detunings fixes Omega_j first.
+        # ``derive_params`` reads only the trap amplitude of the drive, so a
+        # derivation with placeholder detunings is already the final one and
+        # fixes the Omega_j that the relative drive units refer to.
         probe = model.DriveSpec(trap_amplitude=e0, cw_amplitudes=cw,
                                 detunings=(1.0, 1.0))
-        probe_params = model.derive_params(objects, self.geometry,
-                                           self.environment, probe)
-        w1, w2 = probe_params.omega_mech
+        params = model.derive_params(objects, self.geometry,
+                                     self.environment, probe)
+        w1, w2 = params.omega_mech
 
         if detuning is not None:
             detunings = (detuning * w1, detuning * w1)
@@ -154,8 +155,6 @@ class Scenario:
         drive = model.DriveSpec(trap_amplitude=e0, cw_amplitudes=cw,
                                 mod_amplitudes=self.modulation_amplitudes,
                                 mod_frequency=omega_d, detunings=detunings)
-        params = model.derive_params(objects, self.geometry,
-                                     self.environment, drive)
         return System(params=params, drive=drive,
                       diffusion_high_t=diffusion_high_t,
                       meanfield_quasistatic=meanfield_quasistatic)

@@ -160,8 +160,7 @@ def _weak_system():
     system = load_scenario(shipped_scenario("fig2_sum")).system()
     sys_n = system.rescaled(float(system.params.omega_mech[0]))
     p = sys_n.params
-    cw = replace(sys_n.drive, mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
-    wp = meanfield.steady_means(p, cw)
+    wp = meanfield.steady_means(p, sys_n.drive.unmodulated())
     scale = 0.1 * float(np.min(p.kappa_control())) / float(
         np.max(np.abs(wp.coupling)))
     drive = replace(sys_n.drive,
@@ -176,8 +175,7 @@ def _mean_orbit(sys_n, omega_d):
     """One settled drive period of the mean field, on the half-step grid."""
     p = sys_n.params
     drive = replace(sys_n.drive, mod_frequency=omega_d)
-    cw = replace(drive, mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
-    wp = meanfield.steady_means(p, cw)
+    wp = meanfield.steady_means(p, drive.unmodulated())
     period = 2 * math.pi / omega_d
     dt = pipeline.timestep(replace(sys_n, drive=drive))
     n_per = int(math.ceil(period / dt))
@@ -185,13 +183,7 @@ def _mean_orbit(sys_n, omega_d):
     n_settle = int(math.ceil(10.0 / float(np.min(p.kappa_control())) / dt))
     traj = meanfield.integrate_means(p, drive, (0.0, (n_settle + n_per) * dt),
                                      dt / 2, initial=wp)
-    tail = slice(2 * n_settle, 2 * (n_settle + n_per) + 1)
-    sub = meanfield.MeanTrajectory(
-        t=traj.t[tail], a=traj.a[tail], x=traj.x[tail], p=traj.p[tail],
-        detuning=traj.detuning[tail], coupling=traj.coupling[tail],
-        omega_shifted=traj.omega_shifted[tail],
-        bare_detuning=traj.bare_detuning)
-    return sub, dt, n_per
+    return traj[2 * n_settle:2 * (n_settle + n_per) + 1], dt, n_per
 
 
 def _monodromy(a_half, dt):

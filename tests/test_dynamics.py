@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
-from twintrap import dynamics, meanfield
+from twintrap import dynamics, meanfield, pipeline
 from twintrap.dynamics import (BlowupError, UnstableSystemError,
-                               build_diffusion, build_drift,
+                               build_diffusion, drift_samples,
                                evolve_covariance, lyapunov_steady,
                                quasi_steady_orbit, routh_hurwitz_stable,
                                stability_check)
@@ -57,22 +57,22 @@ def reference_drift(wp, params):
 def test_drift_matches_reference(fig1_scenario):
     system = fig1_scenario.system()
     wp = meanfield.steady_means(system.params, system.drive)
-    a = build_drift(wp, system.params)
+    a = drift_samples(wp, system.params)
+    assert a.shape == (8, 8)
     assert np.allclose(a, reference_drift(wp, system.params), rtol=1e-12)
 
 
 def test_drift_samples_match_pointwise(fig2_sum_scenario):
     system = fig2_sum_scenario.system()
     p, drv = system.params, system.drive
-    wp0 = meanfield.steady_means(
-        p, type(drv)(trap_amplitude=drv.trap_amplitude,
-                     cw_amplitudes=drv.cw_amplitudes,
-                     detunings=drv.detunings))
+    wp0 = meanfield.steady_means(p, drv.unmodulated())
     dt = 2 * math.pi / drv.mod_frequency / 64
     traj = meanfield.integrate_means(p, drv, (0.0, 10 * dt), dt, initial=wp0)
-    stacked = dynamics.drift_samples(traj, p)
+    stacked = drift_samples(traj, p)
+    assert stacked.shape == (len(traj), 8, 8)
     for k in (0, 3, len(traj) - 1):
-        assert np.allclose(stacked[k], build_drift(traj.point(k), p),
+        assert np.array_equal(stacked[k], drift_samples(traj.point(k), p))
+        assert np.allclose(stacked[k], reference_drift(traj.point(k), p),
                            rtol=1e-12)
 
 
@@ -157,6 +157,18 @@ def test_lyapunov_matches_scipy():
 def test_lyapunov_rejects_unstable_drift():
     with pytest.raises(UnstableSystemError):
         lyapunov_steady(np.eye(8), np.eye(8))
+
+
+def test_steady_state_checks_stability_once(fig1_scenario, monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return stability_check(a)
+
+    monkeypatch.setattr(dynamics, "stability_check", counted)
+    pipeline.steady_state(fig1_scenario.system())
+    assert len(calls) == 1
 
 
 # --------------------------------------------------- covariance evolution

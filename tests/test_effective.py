@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from twintrap import meanfield, pipeline
-from twintrap.effective import (HarmonicDecomposition, effective_J,
+from twintrap.dynamics import BlowupError
+from twintrap.effective import (HarmonicDecomposition,
                                 effective_J_series, modulation_harmonics,
                                 reduced_steady_state, reduced_two_mode_evolve,
                                 resonance_advisor, rwa_classify,
@@ -39,7 +40,8 @@ def test_effective_J_literal_formula(fig1_scenario):
                 expect[j, el] += (kappa[i] * gg.imag
                                   + wp.detuning[i] * gg.real) \
                     / (kappa[i] ** 2 + wp.detuning[i] ** 2) ** 2
-    got = effective_J(wp, p)
+    got = effective_J_series(wp, p)
+    assert got.shape == (2, 2)
     assert np.allclose(got, 0.5 * (expect + expect.T), rtol=1e-12)
 
 
@@ -51,8 +53,8 @@ def test_single_power_denominator_ratio():
         def kappa_control():
             return np.array([4.0, 4.0])
 
-    squared = effective_J(wp, P)
-    single = effective_J(wp, P, single_power=True)
+    squared = effective_J_series(wp, P)
+    single = effective_J_series(wp, P, single_power=True)
     assert np.allclose(single, squared * (4.0**2 + 3.0**2), rtol=1e-12)
 
 
@@ -62,7 +64,7 @@ def test_J_is_symmetric(fig2_sum_scenario):
     times = np.linspace(0.0, 2 * math.pi / drv.mod_frequency, 5)
     traj = meanfield.quasistatic_means(p, drv, times)
     for k in range(len(traj)):
-        j = effective_J(traj.point(k), p)
+        j = effective_J_series(traj.point(k), p)
         assert np.array_equal(j, j.T)
 
 
@@ -72,10 +74,13 @@ def test_series_matches_pointwise(fig2_sum_scenario):
     period = 2 * math.pi / drv.mod_frequency
     times = np.linspace(0.0, period, 65)
     traj = meanfield.quasistatic_means(p, drv, times)
-    series = effective_J_series(traj, p)
-    for k in (0, 17, 64):
-        assert np.allclose(series[k], effective_J(traj.point(k), p),
-                           rtol=1e-12)
+    for single_power in (False, True):
+        series = effective_J_series(traj, p, single_power=single_power)
+        assert series.shape == (len(traj), 2, 2)
+        for k in (0, 17, 64):
+            assert np.array_equal(
+                series[k],
+                effective_J_series(traj.point(k), p, single_power=single_power))
 
 
 # ------------------------------------------------------------- harmonics
@@ -193,6 +198,15 @@ def test_reduced_evolve_approaches_steady_state():
                                      omega_d=2.0, t_span=(0.0, 80.0),
                                      dt=0.01)
     assert np.allclose(vs[-1], v_inf, rtol=1e-6, atol=1e-9)
+
+
+def test_reduced_evolve_blows_up_above_threshold():
+    damping = np.array([0.4, 0.4])
+    n_bath = np.array([0.0, 0.0])
+    h = flat_harmonics(j_tms=0.5)    # 2J > gamma: the covariance grows
+    with pytest.raises(BlowupError):
+        reduced_two_mode_evolve(h, 1.0, 1.0, damping, n_bath, omega_d=2.0,
+                                t_span=(0.0, 50.0), dt=0.01)
 
 
 @pytest.mark.slow

@@ -13,10 +13,6 @@ from twintrap.meanfield import (ConvergenceError, fixed_point_residual,
                                 steady_means)
 
 
-def cw_drive(drive):
-    return replace(drive, mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
-
-
 # ------------------------------------------------------------ fixed point
 
 def test_cw_fixed_point_residual(fig1_scenario):
@@ -88,7 +84,7 @@ def test_integration_holds_fixed_point(fig1_scenario):
 def test_modulated_means_oscillate_at_drive_period(fig2_sum_scenario):
     system = fig2_sum_scenario.system()
     p, drv = system.params, system.drive
-    wp0 = steady_means(p, cw_drive(drv))
+    wp0 = steady_means(p, drv.unmodulated())
     period = 2 * math.pi / drv.mod_frequency
     dt = period / 256
     # After many periods the mean orbit approaches a limit cycle; the
@@ -110,7 +106,7 @@ def test_integration_matches_solve_ivp(fig2_sum_scenario):
     system = fig2_sum_scenario.system()
     sys_n = system.rescaled(float(system.params.omega_mech[0]))
     p, drv = sys_n.params, sys_n.drive
-    wp0 = steady_means(p, cw_drive(drv))
+    wp0 = steady_means(p, drv.unmodulated())
     kappa, bare = p.kappa_control(), wp0.bare_detuning
 
     def rhs(t, y):
@@ -145,10 +141,9 @@ def test_quasistatic_points_are_instantaneous_fixed_points(fig2_sum_scenario):
     traj = quasistatic_means(p, drv, times)
     for k in range(len(traj)):
         wp = traj.point(k)
-        frozen = replace(drv,
+        frozen = replace(drv.unmodulated(),
                          cw_amplitudes=(drv.amplitude(1, wp.t),
-                                        drv.amplitude(2, wp.t)),
-                         mod_amplitudes=(0.0, 0.0), mod_frequency=0.0)
+                                        drv.amplitude(2, wp.t)))
         assert fixed_point_residual(p, frozen, wp) < 1e-8
 
 
