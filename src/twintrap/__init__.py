@@ -24,7 +24,6 @@ from .meanfield import (
     MeanTrajectory,
     WorkingPoint,
     integrate_means,
-    quasistatic_means,
     steady_means,
 )
 from .dynamics import (

@@ -47,37 +47,34 @@ def _parser() -> argparse.ArgumentParser:
         description="Gaussian dynamics of two optically trapped objects "
                     "coupled to a driven cavity.")
     sub = parser.add_subparsers(dest="verb", required=True)
+    cmds = {}
     for verb, doc in (("steady", "CW steady-state report"),
                       ("evolve", "time evolution under modulation"),
                       ("sweep", "steady-state scan along the sweep axis"),
                       ("effective", "reduced-model coupling constants"),
                       ("validate", "schema check only")):
-        cmd = sub.add_parser(verb, help=doc)
+        cmd = cmds[verb] = sub.add_parser(verb, help=doc)
         cmd.add_argument("--scenario", required=True, type=Path,
                          help="scenario file (YAML)")
         cmd.add_argument("--out", type=Path, default=None,
                          help="output directory (default: stdout)")
-        cmd.add_argument("--format", choices=("csv", "report"),
-                         default="report",
-                         help="tabular CSV or structured JSON report")
-        cmd.add_argument("--diffusion", choices=("exact", "high-t"),
-                         default="exact",
-                         help="mechanical noise strength: exact Bose factor "
-                              "or high-temperature 2kT/(hbar W)")
-        cmd.add_argument("--jformula", choices=("printed", "single-power"),
-                         default="printed",
-                         help="denominator convention for the effective "
-                              "coupling J")
-        cmd.add_argument("--meanfield", choices=("ode", "quasistatic"),
-                         default="ode",
-                         help="working-point evaluation under modulation")
+    # Each verb takes only the options it reads.
+    for verb in ("steady", "evolve", "sweep"):
+        cmds[verb].add_argument(
+            "--diffusion", choices=("exact", "high-t"), default="exact",
+            help="mechanical noise strength: exact Bose factor "
+                 "or high-temperature 2kT/(hbar W)")
+    cmds["evolve"].add_argument("--format", choices=("csv", "report"),
+                                default="report",
+                                help="tabular CSV or structured JSON report")
+    cmds["effective"].add_argument(
+        "--jformula", choices=("printed", "single-power"), default="printed",
+        help="denominator convention for the effective coupling J")
     return parser
 
 
 def _system(scenario: Scenario, args, **overrides):
     return scenario.system(diffusion_high_t=(args.diffusion == "high-t"),
-                           meanfield_quasistatic=(
-                               args.meanfield == "quasistatic"),
                            **overrides)
 
 
@@ -178,14 +175,11 @@ def cmd_sweep(scenario: Scenario, args) -> int:
 
 
 def cmd_effective(scenario: Scenario, args) -> int:
-    system = _system(scenario, args)
     report = pipeline.effective_report(
-        system, single_power=(args.jformula == "single-power"))
+        scenario.system(), single_power=(args.jformula == "single-power"))
     doc = dataclasses.asdict(report)
     for key in ("j_dc", "j_first", "j_second"):
         doc[key] = np.asarray(doc[key]).tolist()
-    doc["process_tags"] = [dataclasses.asdict(t) if dataclasses.is_dataclass(t)
-                           else t for t in report.process_tags]
     _emit(args, "effective.json", json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 

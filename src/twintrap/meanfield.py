@@ -181,12 +181,6 @@ def _state(wp: WorkingPoint) -> tuple:
     return (x1, p1, x2, p2, a1.real, a1.imag, a2.real, a2.imag)
 
 
-def _trajectory(params: DerivedParams, t: np.ndarray, x: np.ndarray,
-                p: np.ndarray, a: np.ndarray, bare: np.ndarray) -> MeanTrajectory:
-    return MeanTrajectory(t, a, x, p, *_effective_quantities(params, a, x, bare),
-                          bare_detuning=bare)
-
-
 def integrate_means(params: DerivedParams, drive: DriveSpec,
                     t_span: tuple[float, float], dt: float,
                     initial: WorkingPoint | None = None) -> MeanTrajectory:
@@ -247,47 +241,10 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
         ys[k + 1] = y0, y1, y2, y3, y4, y5, y6, y7
 
     ts = t0 + dt * np.arange(n_steps + 1)
+    x, p = ys[:, 0:4:2], ys[:, 1:4:2]
     a = ys[:, 4::2] + 1j * ys[:, 5::2]
-    return _trajectory(params, ts, ys[:, 0:4:2], ys[:, 1:4:2], a, bare)
-
-
-def quasistatic_means(params: DerivedParams, drive: DriveSpec,
-                      times: np.ndarray, max_iter: int = 10_000) -> MeanTrajectory:
-    """Frozen-drive approximation: instantaneous fixed points at E_i(t).
-
-    The bare detunings come from the CW fixed point of the unmodulated
-    drive and are held fixed; each sample is then a self-consistent static
-    solution of the instantaneous amplitudes.  Raises ``ConvergenceError``
-    with the residual when a sample is not converged after ``max_iter``
-    damped iterations.
-    """
-    bare = steady_means(params, drive.unmodulated()).bare_detuning
-    kappa = params.kappa_control()
-
-    n = len(times)
-    a = np.empty((n, 2), dtype=complex)
-    x = np.empty((n, 2))
-    x_cur = np.zeros(2)
-    for idx, t in enumerate(times):
-        e_t = np.array([drive.amplitude(1, t), drive.amplitude(2, t)])
-        residual = math.inf
-        for _ in range(max_iter):
-            a_cur = e_t / (kappa + 1j * _detuning(params, bare, x_cur))
-            target = _displacement_target(params, np.abs(a_cur) ** 2, x_cur)
-            residual = float(np.max(np.abs(target - x_cur))
-                             / (1 + np.max(np.abs(target))))
-            if residual < 1e-12:
-                x_cur = target
-                break
-            x_cur = 0.5 * (x_cur + target)
-        else:
-            raise ConvergenceError(
-                f"quasistatic fixed point at t = {t:.6e} stalled "
-                f"(residual {residual:.3e})", residual)
-        a[idx] = a_cur
-        x[idx] = x_cur
-    return _trajectory(params, np.asarray(times, dtype=float), x,
-                       np.zeros_like(x), a, bare)
+    return MeanTrajectory(ts, a, x, p, *_effective_quantities(params, a, x, bare),
+                          bare_detuning=bare)
 
 
 def fixed_point_residual(params: DerivedParams, drive: DriveSpec,

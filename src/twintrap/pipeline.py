@@ -22,12 +22,11 @@ STEPS_PER_CYCLE = 200
 
 @dataclass(frozen=True)
 class System:
-    """A derived parameter set with its drive, plus numerics knobs."""
+    """A derived parameter set with its drive and mechanical-noise convention."""
 
     params: DerivedParams
     drive: DriveSpec
     diffusion_high_t: bool = False
-    meanfield_quasistatic: bool = False
 
     @property
     def tau(self) -> float:
@@ -46,9 +45,7 @@ class System:
             mod_frequency=self.drive.mod_frequency / scale,
             detunings=tuple(d / scale for d in self.drive.detunings),
         )
-        return System(params=params, drive=drive,
-                      diffusion_high_t=self.diffusion_high_t,
-                      meanfield_quasistatic=self.meanfield_quasistatic)
+        return replace(self, params=params, drive=drive)
 
 
 def timestep(system: System) -> float:
@@ -85,18 +82,17 @@ class EvolveResult:
 
 def evolve(system: System, t_max_tau: float,
            steps_per_period: int | None = None,
-           store_per_period: int = 32,
-           v0: np.ndarray | None = None) -> EvolveResult:
+           store_per_period: int = 32) -> EvolveResult:
     """Integrate the covariance under the (possibly modulated) drive.
 
     Runs for ``t_max_tau`` units of tau = 4 pi / (Omega1 + Omega2), starting
-    from the CW steady state unless ``v0`` is given.  Storage is aligned to
-    the drive period so the quasi-steady orbit can be extracted exactly.
+    from the CW steady state.  Storage is aligned to the drive period so
+    the quasi-steady orbit can be extracted exactly.
     """
     scale = float(system.params.omega_mech[0])
     sys_n = system.rescaled(scale)
     p, drv = sys_n.params, sys_n.drive
-    tau = 4 * math.pi / float(p.omega_mech.sum())
+    tau = sys_n.tau
 
     omega_d = drv.mod_frequency
     period = 2 * math.pi / omega_d if omega_d > 0 else tau
@@ -111,17 +107,12 @@ def evolve(system: System, t_max_tau: float,
     n_steps = n_periods * steps_per_period
 
     wp0 = meanfield.steady_means(p, drv.unmodulated())
-    if system.meanfield_quasistatic:
-        times = 0.5 * dt * np.arange(2 * n_steps + 1)
-        means = meanfield.quasistatic_means(p, drv, times)
-    else:
-        means = meanfield.integrate_means(p, drv, (0.0, n_steps * dt), dt / 2,
-                                          initial=wp0)
+    means = meanfield.integrate_means(p, drv, (0.0, n_steps * dt), dt / 2,
+                                      initial=wp0)
     a_half = dynamics.drift_samples(means, p)
     d = dynamics.build_diffusion(p, high_t=sys_n.diffusion_high_t)
 
-    if v0 is None:
-        v0 = dynamics.lyapunov_steady(dynamics.drift_samples(wp0, p), d)
+    v0 = dynamics.lyapunov_steady(dynamics.drift_samples(wp0, p), d)
     traj = dynamics.evolve_covariance(v0, a_half, d, dt, store_stride=store_stride)
     del means, a_half   # free the half-step grids before the stacked analysis
     orbit = dynamics.quasi_steady_orbit(traj, omega_d)
@@ -152,8 +143,7 @@ class EffectiveReport:
     process_tags: list
 
 
-def effective_report(system: System, periods: int = 1,
-                     single_power: bool = False) -> EffectiveReport:
+def effective_report(system: System, single_power: bool = False) -> EffectiveReport:
     """J harmonics over the asymptotic mean-field orbit plus advisor output."""
     scale = float(system.params.omega_mech[0])
     sys_n = system.rescaled(scale)
@@ -168,8 +158,8 @@ def effective_report(system: System, periods: int = 1,
         # Let mean-field transients die out before projecting harmonics.
         settle = 20.0 / float(np.min(p.kappa_control()))
         n_settle = int(math.ceil(settle / dt))
-        n_proj = periods * int(math.ceil(period / dt))
-        dt = periods * period / n_proj
+        n_proj = int(math.ceil(period / dt))
+        dt = period / n_proj
         tail = meanfield.integrate_means(
             p, drv, (0.0, (n_settle + n_proj) * dt), dt, initial=wp)[n_settle:]
         j_t = effective.effective_J_series(tail, p, single_power=single_power)

@@ -108,8 +108,7 @@ class Scenario:
                control_fraction: float | None = None,
                mod_frequency: float | None = None,
                recoil_scale: float | None = None,
-               diffusion_high_t: bool = False,
-               meanfield_quasistatic: bool = False) -> System:
+               diffusion_high_t: bool = False) -> System:
         """Instantiate the dynamical system, optionally overriding one axis.
 
         Overrides use the relative units of the drive section: ``detuning``
@@ -156,8 +155,7 @@ class Scenario:
                                 mod_amplitudes=self.modulation_amplitudes,
                                 mod_frequency=omega_d, detunings=detunings)
         return System(params=params, drive=drive,
-                      diffusion_high_t=diffusion_high_t,
-                      meanfield_quasistatic=meanfield_quasistatic)
+                      diffusion_high_t=diffusion_high_t)
 
 
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:

@@ -67,7 +67,7 @@ def fig3_run_full_recoil(fig3_scenario):
     return pipeline.evolve(system, t_max_tau=fig3_scenario.numerics.t_max_tau)
 
 
-def tail_window(run, scenario):
+def tail_window(run):
     """Samples of the final stored drive period of an evolution.
 
     The stored grid need not hold exactly ``store_per_period`` samples per

@@ -101,17 +101,12 @@ def test_acceptance_04_cw_regression(fig1_scenario, fig1_steady):
 
 @pytest.mark.slow
 def test_acceptance_05_modulated_regression(fig1_steady, fig2_sum_run,
-                                            fig2_sum_scenario, fig2_half_run,
-                                            fig2_half_scenario):
+                                            fig2_half_run):
     cw_eta = fig1_steady[0].eta_min
-    sum_eta = fig2_sum_run.eta_min[tail_window(fig2_sum_run,
-                                               fig2_sum_scenario)].min()
-    sum_en = fig2_sum_run.log_neg[tail_window(fig2_sum_run,
-                                              fig2_sum_scenario)].max()
-    half_eta = fig2_half_run.eta_min[tail_window(fig2_half_run,
-                                                 fig2_half_scenario)].min()
-    half_en = fig2_half_run.log_neg[tail_window(fig2_half_run,
-                                                fig2_half_scenario)].max()
+    sum_eta = fig2_sum_run.eta_min[tail_window(fig2_sum_run)].min()
+    sum_en = fig2_sum_run.log_neg[tail_window(fig2_sum_run)].max()
+    half_eta = fig2_half_run.eta_min[tail_window(fig2_half_run)].min()
+    half_en = fig2_half_run.log_neg[tail_window(fig2_half_run)].max()
     ok = sum_eta < 0.5 and cw_eta >= 0.5 and half_eta < 0.5 and half_en <= sum_en
     verdict("05 modulated regression", ok,
             f"sum-frequency eta {sum_eta:.4f} (E_N {sum_en:.4f}), "
@@ -275,7 +270,7 @@ def test_acceptance_09_stability_equivalence():
 # 10 -----------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_acceptance_10_readout_round_trip(fig2_sum_run, fig2_sum_scenario):
+def test_acceptance_10_readout_round_trip(fig2_sum_run):
     probe = readout.ProbeSpec(kappa=20.0, coupling_plus=1.0,
                               coupling_minus=1.0, mean_x1=1.0, mean_x2=0.9)
     rng = np.random.default_rng(10)
@@ -286,7 +281,7 @@ def test_acceptance_10_readout_round_trip(fig2_sum_run, fig2_sum_scenario):
         w = readout.reconstruct_mech_cov(readout.output_observables(v, probe),
                                          probe)
         worst = max(worst, np.linalg.norm(w - v) / np.linalg.norm(v))
-    tail = tail_window(fig2_sum_run, fig2_sum_scenario)
+    tail = tail_window(fig2_sum_run)
     k = tail.start + int(np.argmin(fig2_sum_run.eta_min[tail]))
     block = gaussian.mechanical_block(fig2_sum_run.cov.v[k])
     en = gaussian.log_negativity(block)
@@ -301,12 +296,10 @@ def test_acceptance_10_readout_round_trip(fig2_sum_run, fig2_sum_scenario):
 # 11 -----------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_acceptance_11_nanosphere_contrast(fig3_scenario, fig3_run_suppressed,
+def test_acceptance_11_nanosphere_contrast(fig3_run_suppressed,
                                            fig3_run_full_recoil):
-    eta_low = fig3_run_suppressed.eta_min[
-        tail_window(fig3_run_suppressed, fig3_scenario)].min()
-    eta_full = fig3_run_full_recoil.eta_min[
-        tail_window(fig3_run_full_recoil, fig3_scenario)].min()
+    eta_low = fig3_run_suppressed.eta_min[tail_window(fig3_run_suppressed)].min()
+    eta_full = fig3_run_full_recoil.eta_min[tail_window(fig3_run_full_recoil)].min()
     verdict("11 nanosphere contrast", eta_low < 0.5 <= eta_full,
             f"eta_min {eta_low:.4f} at 10% recoil (target < 0.5), "
             f"{eta_full:.4f} at full recoil (target >= 0.5)")

@@ -58,22 +58,25 @@ def test_single_power_denominator_ratio():
     assert np.allclose(single, squared * (4.0**2 + 3.0**2), rtol=1e-12)
 
 
-def test_J_is_symmetric(fig2_sum_scenario):
-    system = fig2_sum_scenario.system()
+def one_period_means(scenario):
+    """Mean-field orbit over one drive period from the CW fixed point, 65 samples."""
+    system = scenario.system()
     p, drv = system.params, system.drive
-    times = np.linspace(0.0, 2 * math.pi / drv.mod_frequency, 5)
-    traj = meanfield.quasistatic_means(p, drv, times)
+    period = 2 * math.pi / drv.mod_frequency
+    return p, meanfield.integrate_means(p, drv, (0.0, period), period / 64)
+
+
+def test_J_is_symmetric(fig2_sum_scenario):
+    p, traj = one_period_means(fig2_sum_scenario)
     for k in range(len(traj)):
-        j = effective_J_series(traj.point(k), p)
-        assert np.array_equal(j, j.T)
+        for single_power in (False, True):
+            j = effective_J_series(traj.point(k), p, single_power=single_power)
+            assert np.array_equal(j, j.T)
 
 
 def test_series_matches_pointwise(fig2_sum_scenario):
-    system = fig2_sum_scenario.system()
-    p, drv = system.params, system.drive
-    period = 2 * math.pi / drv.mod_frequency
-    times = np.linspace(0.0, period, 65)
-    traj = meanfield.quasistatic_means(p, drv, times)
+    p, traj = one_period_means(fig2_sum_scenario)
+    assert len(traj) == 65
     for single_power in (False, True):
         series = effective_J_series(traj, p, single_power=single_power)
         assert series.shape == (len(traj), 2, 2)

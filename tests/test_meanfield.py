@@ -1,16 +1,11 @@
 """Classical working point: fixed points and coherent trajectories."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
-import pytest
 from scipy.integrate import solve_ivp
 
-from twintrap import meanfield, model
-from twintrap.meanfield import (ConvergenceError, fixed_point_residual,
-                                integrate_means, quasistatic_means,
-                                steady_means)
+from twintrap.meanfield import fixed_point_residual, integrate_means, steady_means
 
 
 # ------------------------------------------------------------ fixed point
@@ -131,34 +126,3 @@ def test_integration_matches_solve_ivp(fig2_sum_scenario):
                     rtol=1e-12, atol=1e-12 * np.max(np.abs(y[0])),
                     t_eval=traj.t).y.T
     assert np.max(np.abs(y - ref)) <= 1e-8 * np.max(np.abs(ref))
-
-
-def test_quasistatic_points_are_instantaneous_fixed_points(fig2_sum_scenario):
-    system = fig2_sum_scenario.system()
-    p, drv = system.params, system.drive
-    period = 2 * math.pi / drv.mod_frequency
-    times = np.linspace(0.0, period, 9)
-    traj = quasistatic_means(p, drv, times)
-    for k in range(len(traj)):
-        wp = traj.point(k)
-        frozen = replace(drv.unmodulated(),
-                         cw_amplitudes=(drv.amplitude(1, wp.t),
-                                        drv.amplitude(2, wp.t)))
-        assert fixed_point_residual(p, frozen, wp) < 1e-8
-
-
-def test_quasistatic_matches_steady_when_unmodulated(fig1_scenario):
-    system = fig1_scenario.system()
-    p, drv = system.params, system.drive
-    wp = steady_means(p, drv)
-    traj = quasistatic_means(p, drv, np.array([0.0, 1e-6]))
-    assert np.allclose(traj.a[0], wp.a, rtol=1e-9)
-    assert np.allclose(traj.x[0], wp.x, rtol=1e-9)
-
-
-def test_quasistatic_raises_when_not_converged(fig2_sum_scenario):
-    system = fig2_sum_scenario.system()
-    times = np.linspace(0.0, 2 * math.pi / system.drive.mod_frequency, 3)
-    with pytest.raises(ConvergenceError) as err:
-        quasistatic_means(system.params, system.drive, times, max_iter=1)
-    assert err.value.residual > 0

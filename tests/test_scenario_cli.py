@@ -153,6 +153,28 @@ def test_missing_file_is_config_error(tmp_path, capsys):
                      str(tmp_path / "nope.yaml")]) == cli.EXIT_CONFIG
 
 
+VERBS = ("validate", "steady", "evolve", "sweep", "effective")
+UNREAD_OPTIONS = [
+    ("steady", ["--format", "csv"]),
+    ("sweep", ["--format", "report"]),
+    ("validate", ["--diffusion", "high-t"]),
+    ("effective", ["--diffusion", "high-t"]),
+    ("evolve", ["--jformula", "single-power"]),
+] + [(verb, ["--meanfield", "ode"]) for verb in VERBS]   # a deleted option
+
+
+@pytest.mark.parametrize("verb,option", UNREAD_OPTIONS,
+                         ids=[f"{verb}{option[0]}"
+                              for verb, option in UNREAD_OPTIONS])
+def test_verb_rejects_options_it_does_not_read(verb, option, capsys):
+    # An option a verb would ignore is an argument error (argparse exits 2).
+    with pytest.raises(SystemExit) as err:
+        cli.main([verb, "--scenario", str(shipped_scenario("fig1_cw")),
+                  *option])
+    assert err.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_steady_report(tmp_path):
     code = cli.main(["steady", "--scenario", str(shipped_scenario("fig1_cw")),
                      "--out", str(tmp_path)])
