@@ -29,6 +29,7 @@ from .meanfield import (
 from .dynamics import (
     BlowupError,
     CovTrajectory,
+    PeriodicOrbit,
     QuasiSteadyOrbit,
     StabilityReport,
     UnstableSystemError,
@@ -36,6 +37,8 @@ from .dynamics import (
     drift_samples,
     evolve_covariance,
     lyapunov_steady,
+    monodromy,
+    periodic_orbit,
     quasi_steady_orbit,
     routh_hurwitz_stable,
     stability_check,
@@ -54,7 +57,6 @@ from .effective import (
     effective_J_series,
     modulation_harmonics,
     reduced_steady_state,
-    reduced_two_mode_evolve,
     resonance_advisor,
     rwa_classify,
 )

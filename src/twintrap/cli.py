@@ -67,9 +67,6 @@ def _parser() -> argparse.ArgumentParser:
     cmds["evolve"].add_argument("--format", choices=("csv", "report"),
                                 default="report",
                                 help="tabular CSV or structured JSON report")
-    cmds["effective"].add_argument(
-        "--jformula", choices=("printed", "single-power"), default="printed",
-        help="denominator convention for the effective coupling J")
     return parser
 
 
@@ -175,8 +172,7 @@ def cmd_sweep(scenario: Scenario, args) -> int:
 
 
 def cmd_effective(scenario: Scenario, args) -> int:
-    report = pipeline.effective_report(
-        scenario.system(), single_power=(args.jformula == "single-power"))
+    report = pipeline.effective_report(scenario.system())
     doc = dataclasses.asdict(report)
     for key in ("j_dc", "j_first", "j_second"):
         doc[key] = np.asarray(doc[key]).tolist()

@@ -1,4 +1,5 @@
-"""Drift/diffusion matrices, stability, Lyapunov solve and covariance evolution.
+"""Drift/diffusion matrices, stability, Lyapunov solve, covariance evolution,
+and the periodic mean-field orbit of a modulated drive with its monodromy.
 
 State ordering throughout: u = (x1, p1, x2, p2, X1, Y1, X2, Y2), mechanical
 quadratures first, then the two control-mode quadratures.
@@ -6,13 +7,16 @@ quadratures first, then the two control-mode quadratures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .model import DerivedParams
-from .meanfield import MeanTrajectory, WorkingPoint
+from .model import DerivedParams, DriveSpec
+from .meanfield import (ConvergenceError, MeanTrajectory, WorkingPoint,
+                        integrate_means, state_vector, steady_means,
+                        working_point)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -22,9 +26,20 @@ MARGINAL_TOL = 1e-8
 #: Relative residual bound enforced on every steady Lyapunov solve.
 LYAPUNOV_RTOL = 1e-10
 
+#: Periodic-orbit shooting: relative residual |y(T) - y(0)| accepted as
+#: periodic, Newton iterations allowed per continuation step, and the
+#: smallest step in the modulation amplitude before giving up.
+SHOOT_TOL = 1e-11
+SHOOT_NEWTON_CAP = 5
+SHOOT_MIN_STEP = 2.0 ** -8
+
+#: S of u = S y: the mean state's (Re a, Im a) scaled to quadratures (X, Y).
+_QUADRATURES = np.array([1.0, 1.0, 1.0, 1.0, SQRT2, SQRT2, SQRT2, SQRT2])
+
 
 class UnstableSystemError(RuntimeError):
-    """Requested a steady state of a drift matrix with non-negative spectrum."""
+    """Requested a steady state of a drift matrix with non-negative spectrum,
+    or a periodic orbit whose monodromy has spectral radius >= 1."""
 
 
 class BlowupError(RuntimeError):
@@ -272,3 +287,111 @@ def quasi_steady_orbit(traj: CovTrajectory, omega_d: float,
     change = float(np.max(
         np.linalg.norm(last - prev, axis=(1, 2)) / np.linalg.norm(last, axis=(1, 2))))
     return QuasiSteadyOrbit(traj.t[-(n_per + 1):], last, change < tol, change)
+
+
+def monodromy(a_half: np.ndarray, dt: float) -> np.ndarray:
+    """Period map Phi of du/dt = A(t) u: RK4 on the half-step drift grid.
+
+    ``a_half`` is laid out as for ``evolve_covariance`` (2N + 1 samples at
+    spacing dt/2 for N steps).
+    """
+    if a_half.ndim != 3 or a_half.shape[0] % 2 == 0:
+        raise ValueError("a_half must hold an odd number of drift samples")
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    phi = np.eye(a_half.shape[1])
+    for k in range((a_half.shape[0] - 1) // 2):
+        a0, am, a1 = a_half[2 * k], a_half[2 * k + 1], a_half[2 * k + 2]
+        k1 = a0 @ phi
+        k2 = am @ (phi + half * k1)
+        k3 = am @ (phi + half * k2)
+        k4 = a1 @ (phi + dt * k3)
+        phi = phi + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    return phi
+
+
+@dataclass(frozen=True)
+class PeriodicOrbit:
+    """The attracting periodic mean-field orbit over one drive period."""
+
+    means: MeanTrajectory    # 2N + 1 samples at spacing dt/2, t from 0 to T
+    rho: float               # spectral radius of the monodromy, < 1
+    residual: float          # relative shooting residual |y(T) - y(0)|
+
+
+def _shoot(params: DerivedParams, drive: DriveSpec, y: np.ndarray,
+           bare: np.ndarray, n_steps: int):
+    """Newton iterations on y(T) = y(0) from the guess ``y``.
+
+    Returns (orbit, monodromy, residual); the orbit is None when the
+    iterations do not converge or an iterate goes non-finite.
+    """
+    period = 2 * math.pi / drive.mod_frequency
+    dt = period / n_steps
+    # A diverging iterate may overflow; it shows as a non-finite residual.
+    with np.errstate(all="ignore"):
+        for it in range(SHOOT_NEWTON_CAP + 1):
+            means = integrate_means(params, drive, (0.0, period), dt / 2,
+                                    initial=working_point(params, y, bare))
+            gap = np.array(state_vector(means.point(-1))) - y
+            residual = float(np.max(np.abs(gap)) / max(np.max(np.abs(y)), 1.0))
+            if not math.isfinite(residual):
+                return None, None, math.inf
+            if residual < SHOOT_TOL:
+                return means, monodromy(drift_samples(means, params), dt), residual
+            if it == SHOOT_NEWTON_CAP:
+                break
+            # Newton on the period map; in y coordinates its Jacobian is S^-1 Phi S.
+            phi = monodromy(drift_samples(means, params), dt)
+            jac = phi * _QUADRATURES[None, :] / _QUADRATURES[:, None] - np.eye(8)
+            try:
+                y = y - np.linalg.solve(jac, gap)
+            except np.linalg.LinAlgError:
+                break
+    return None, None, residual
+
+
+def periodic_orbit(params: DerivedParams, drive: DriveSpec,
+                   dt: float) -> PeriodicOrbit:
+    """The periodic mean-field orbit of a modulated drive, by Newton shooting.
+
+    Solves y(0) = y(T) for the 8-float mean state on the RK4 period map,
+    with the mean field integrated at dt/2 so that the returned samples
+    are the half-step drift grid of an RK4 step dt (rounded so that whole
+    steps span the period T).  The Jacobian of the period map is the
+    monodromy of the linearized drift, which is the fluctuation drift.
+    The modulation amplitudes are continued from 0, where the CW fixed
+    point is the orbit, to their full value: each step is tried whole and
+    halved while Newton fails to converge within ``SHOOT_NEWTON_CAP``
+    iterations.  Raises ``ConvergenceError`` (with the last residual) when
+    the step falls below ``SHOOT_MIN_STEP``, and ``UnstableSystemError``
+    when the converged orbit is not attracting (rho(Phi) >= 1).
+    """
+    if drive.mod_frequency <= 0:
+        raise ValueError("periodic_orbit requires a modulated drive")
+    n_steps = max(1, round(2 * math.pi / drive.mod_frequency / dt))
+    cw = steady_means(params, drive.unmodulated())
+    y = np.array(state_vector(cw))
+    done, step = 0.0, 1.0
+    while True:
+        target = min(1.0, done + step)
+        scaled = replace(drive, mod_amplitudes=tuple(
+            target * e for e in drive.mod_amplitudes))
+        means, phi, residual = _shoot(params, scaled, y, cw.bare_detuning,
+                                      n_steps)
+        if means is None:
+            step /= 2
+            if step < SHOOT_MIN_STEP:
+                raise ConvergenceError(
+                    f"periodic orbit shooting stalled at modulation fraction "
+                    f"{done:.4f} (residual {residual:.3e})", residual)
+            continue
+        done = target
+        y = np.array(state_vector(means.point(0)))
+        if done == 1.0:
+            break
+    rho = float(np.max(np.abs(np.linalg.eigvals(phi))))
+    if not rho < 1.0:
+        raise UnstableSystemError(
+            f"periodic mean orbit is unstable (monodromy spectral radius {rho:.6f})")
+    return PeriodicOrbit(means=means, rho=rho, residual=residual)

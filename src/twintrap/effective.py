@@ -1,6 +1,6 @@
 """Adiabatic elimination of the cavity modes: the mechanical-mechanical
-coupling J, its modulation harmonics, resonance bookkeeping, and a reduced
-two-mode model used to cross-check the full dynamics."""
+coupling J, its modulation harmonics, resonance bookkeeping, and the steady
+state of a reduced two-mode model used to cross-check the full dynamics."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import evolve_covariance
 from .model import DerivedParams
 from .meanfield import MeanTrajectory, WorkingPoint
 
@@ -18,17 +17,17 @@ def weak_coupling_ok(wp: WorkingPoint, params: DerivedParams) -> bool:
     return bool(np.all(np.abs(wp.coupling) < params.kappa_control()[:, None]))
 
 
-def effective_J_series(traj: MeanTrajectory | WorkingPoint, params: DerivedParams,
-                       single_power: bool = False) -> np.ndarray:
+def effective_J_series(traj: MeanTrajectory | WorkingPoint,
+                       params: DerivedParams) -> np.ndarray:
     """Mechanical-mechanical coupling matrix J at every sample.
 
     J_jl = sum_i [kappa_i Im(G_ij G_il*) + Delta_i Re(G_ij G_il*)]
-           / (kappa_i^2 + Delta_i^2)^2,
+           / (kappa_i^2 + Delta_i^2),
 
-    shape (n, 2, 2) for a ``MeanTrajectory`` of n samples and (2, 2) for a
-    single ``WorkingPoint``.  ``single_power`` drops the square on the
-    denominator (the standard adiabatic-elimination scaling) for
-    sensitivity studies; the default keeps the literal form.
+    the standard adiabatic-elimination form (Aspelmeyer, Kippenberg &
+    Marquardt, RMP 86, 1391 (2014), Sec. VI), a rate like G; shape
+    (n, 2, 2) for a ``MeanTrajectory`` of n samples and (2, 2) for a
+    single ``WorkingPoint``.
     """
     kappa = params.kappa_control()
     out = np.zeros(traj.coupling.shape[:-2] + (2, 2))
@@ -36,8 +35,6 @@ def effective_J_series(traj: MeanTrajectory | WorkingPoint, params: DerivedParam
         g = traj.coupling[..., i, :]
         gg = g[..., :, None] * g[..., None, :].conj()
         denom = kappa[i] ** 2 + traj.detuning[..., i] ** 2
-        if not single_power:
-            denom = denom**2
         out += (kappa[i] * gg.imag + traj.detuning[..., i, None, None] * gg.real) \
             / denom[..., None, None]
     return 0.5 * (out + np.swapaxes(out, -1, -2))
@@ -167,31 +164,6 @@ def _reduced_generator(harmonics: HarmonicDecomposition,
     # Local thermal noise: relaxes to (n_bath + 1/2) I when J = 0.
     d = np.diag(np.repeat(damping * (n_bath + 0.5), 2))
     return a, d
-
-
-def reduced_two_mode_evolve(harmonics: HarmonicDecomposition,
-                            omega1: float, omega2: float,
-                            damping: np.ndarray, n_bath: np.ndarray,
-                            omega_d: float, t_span: tuple[float, float],
-                            dt: float, v0: np.ndarray | None = None
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance evolution of the RWA-resonant reduced mechanical model.
-
-    Keeps, in the frame rotating at the mechanical frequencies, the static
-    frequency shifts, phonon hopping (when the oscillators are degenerate)
-    and the two-mode squeezing term driven by whichever J harmonic is
-    resonant with Omega1 + Omega2.  Noise is local and thermal: damping
-    rates ``damping`` (gamma + Gamma per mode) with bath occupations
-    ``n_bath``.  Returns (times, V(t)) with V 4x4 in (x1, p1, x2, p2).
-    Raises ``BlowupError`` when V grows without bound (above threshold).
-    """
-    a, d = _reduced_generator(harmonics, omega1, omega2, damping, n_bath, omega_d)
-    t0, t1 = t_span
-    n_steps = max(1, int(round((t1 - t0) / dt)))
-    traj = evolve_covariance(np.eye(4) * 0.5 if v0 is None else v0,
-                             np.broadcast_to(a, (2 * n_steps + 1, 4, 4)), d,
-                             (t1 - t0) / n_steps, t0=t0)
-    return traj.t, traj.v
 
 
 def reduced_steady_state(harmonics: HarmonicDecomposition,

@@ -80,10 +80,9 @@ def eta_min(v: np.ndarray) -> float | np.ndarray:
     return float(eta) if eta.ndim == 0 else eta
 
 
-def log_negativity(v: np.ndarray, base2: bool = False) -> float:
-    """E_N = max{0, -ln(2 eta_min)}; ``base2`` rescales to log2 for comparison."""
-    e_n = max(0.0, -math.log(2.0 * eta_min(v)))
-    return e_n / math.log(2.0) if base2 else e_n
+def log_negativity(v: np.ndarray) -> float:
+    """E_N = max{0, -ln(2 eta_min)}."""
+    return max(0.0, -math.log(2.0 * eta_min(v)))
 
 
 def phonon_occupation(v: np.ndarray, mode: int) -> float | np.ndarray:

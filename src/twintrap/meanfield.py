@@ -174,11 +174,23 @@ def _scalar_rhs(params: DerivedParams, bare: np.ndarray):
     return rhs
 
 
-def _state(wp: WorkingPoint) -> tuple:
-    """(x1, p1, x2, p2, Re a1, Im a1, Re a2, Im a2) as Python floats."""
+def state_vector(wp: WorkingPoint) -> tuple:
+    """The mean state (x1, p1, x2, p2, Re a1, Im a1, Re a2, Im a2) as Python floats."""
     (x1, x2), (p1, p2) = wp.x.tolist(), wp.p.tolist()
     a1, a2 = complex(wp.a[0]), complex(wp.a[1])
     return (x1, p1, x2, p2, a1.real, a1.imag, a2.real, a2.imag)
+
+
+def working_point(params: DerivedParams, y,
+                  bare_detuning: np.ndarray) -> WorkingPoint:
+    """The working point at t = 0 of the mean state ``y``, ordered as in
+    ``state_vector``."""
+    x = np.array([y[0], y[2]], dtype=float)
+    p = np.array([y[1], y[3]], dtype=float)
+    a = np.array([complex(y[4], y[5]), complex(y[6], y[7])])
+    return WorkingPoint(0.0, a, x, p,
+                        *_effective_quantities(params, a, x, bare_detuning),
+                        bare_detuning=bare_detuning)
 
 
 def integrate_means(params: DerivedParams, drive: DriveSpec,
@@ -205,7 +217,7 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
     half = dt / 2
     sixth = dt / 6
 
-    y0, y1, y2, y3, y4, y5, y6, y7 = _state(initial)
+    y0, y1, y2, y3, y4, y5, y6, y7 = state_vector(initial)
     ys = np.empty((n_steps + 1, 8))
     ys[0] = y0, y1, y2, y3, y4, y5, y6, y7
     cos_end = cos(w * t0)
@@ -250,7 +262,7 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
 def fixed_point_residual(params: DerivedParams, drive: DriveSpec,
                          wp: WorkingPoint) -> float:
     """Relative norm of the CW mean-field equations at a working point."""
-    y = _state(wp)
+    y = state_vector(wp)
     rhs = _scalar_rhs(params, wp.bare_detuning)(
         drive.amplitude(1, 0.0), drive.amplitude(2, 0.0), *y)
     scale = max(max(abs(v) for v in y), 1.0) * float(np.max(params.kappa))

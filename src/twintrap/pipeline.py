@@ -143,8 +143,8 @@ class EffectiveReport:
     process_tags: list
 
 
-def effective_report(system: System, single_power: bool = False) -> EffectiveReport:
-    """J harmonics over the asymptotic mean-field orbit plus advisor output."""
+def effective_report(system: System) -> EffectiveReport:
+    """J harmonics over the periodic mean-field orbit plus advisor output."""
     scale = float(system.params.omega_mech[0])
     sys_n = system.rescaled(scale)
     p, drv = sys_n.params, sys_n.drive
@@ -154,18 +154,12 @@ def effective_report(system: System, single_power: bool = False) -> EffectiveRep
 
     if omega_d > 0:
         period = 2 * math.pi / omega_d
-        dt = min(timestep(sys_n), period / 256)
-        # Let mean-field transients die out before projecting harmonics.
-        settle = 20.0 / float(np.min(p.kappa_control()))
-        n_settle = int(math.ceil(settle / dt))
-        n_proj = int(math.ceil(period / dt))
-        dt = period / n_proj
-        tail = meanfield.integrate_means(
-            p, drv, (0.0, (n_settle + n_proj) * dt), dt, initial=wp)[n_settle:]
-        j_t = effective.effective_J_series(tail, p, single_power=single_power)
-        harm = effective.modulation_harmonics(tail.t, j_t, omega_d)
+        n_steps = int(math.ceil(period / min(timestep(sys_n), period / 256)))
+        orbit = dynamics.periodic_orbit(p, drv, period / n_steps).means
+        harm = effective.modulation_harmonics(
+            orbit.t, effective.effective_J_series(orbit, p), omega_d)
     else:
-        j0 = effective.effective_J_series(wp, p, single_power=single_power)
+        j0 = effective.effective_J_series(wp, p)
         harm = effective.HarmonicDecomposition(
             dc=j0, first=np.zeros((2, 2)), second=np.zeros((2, 2)), residual=0.0)
 

@@ -167,31 +167,12 @@ def _weak_system():
 
 
 def _mean_orbit(sys_n, omega_d):
-    """One settled drive period of the mean field, on the half-step grid."""
-    p = sys_n.params
+    """The periodic mean-field orbit over one drive period, on the half-step grid."""
     drive = replace(sys_n.drive, mod_frequency=omega_d)
-    wp = meanfield.steady_means(p, drive.unmodulated())
     period = 2 * math.pi / omega_d
-    dt = pipeline.timestep(replace(sys_n, drive=drive))
-    n_per = int(math.ceil(period / dt))
+    n_per = int(math.ceil(period / pipeline.timestep(replace(sys_n, drive=drive))))
     dt = period / n_per
-    n_settle = int(math.ceil(10.0 / float(np.min(p.kappa_control())) / dt))
-    traj = meanfield.integrate_means(p, drive, (0.0, (n_settle + n_per) * dt),
-                                     dt / 2, initial=wp)
-    return traj[2 * n_settle:2 * (n_settle + n_per) + 1], dt, n_per
-
-
-def _monodromy(a_half, dt):
-    """Period map Phi of du/dt = A(t) u, RK4 on the half-step drift grid."""
-    phi = np.eye(a_half.shape[1])
-    for k in range((len(a_half) - 1) // 2):
-        a0, am, a1 = a_half[2 * k], a_half[2 * k + 1], a_half[2 * k + 2]
-        k1 = a0 @ phi
-        k2 = am @ (phi + dt / 2 * k1)
-        k3 = am @ (phi + dt / 2 * k2)
-        k4 = a1 @ (phi + dt * k3)
-        phi = phi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return phi
+    return dynamics.periodic_orbit(sys_n.params, drive, dt).means, dt, n_per
 
 
 def _full_verdict(sys_n, orbit, dt, n_per):
@@ -199,7 +180,7 @@ def _full_verdict(sys_n, orbit, dt, n_per):
     p = sys_n.params
     a_half = dynamics.drift_samples(orbit, p)
     d = dynamics.build_diffusion(p)
-    phi = _monodromy(a_half, dt)
+    phi = dynamics.monodromy(a_half, dt)
     if np.max(np.abs(np.linalg.eigvals(phi))) >= 1 - 1e-9:
         return "unstable"
     q = dynamics.evolve_covariance(np.zeros((8, 8)), a_half, d, dt).v[-1]
@@ -227,7 +208,6 @@ def _reduced_verdict(sys_n, orbit, omega_d):
     return "entangled" if gaussian.eta_min(v) < 0.5 else "separable"
 
 
-@pytest.mark.slow
 def test_acceptance_08_effective_model_consistency(fig2_sum_scenario):
     sys_n = _weak_system()
     wsum = float(sys_n.params.omega_mech.sum())

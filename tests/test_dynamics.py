@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
-from twintrap import dynamics, meanfield, pipeline
+from twintrap import cli, dynamics, meanfield, pipeline
 from twintrap.dynamics import (BlowupError, UnstableSystemError,
                                build_diffusion, drift_samples,
-                               evolve_covariance, lyapunov_steady,
-                               quasi_steady_orbit, routh_hurwitz_stable,
-                               stability_check)
+                               evolve_covariance, lyapunov_steady, monodromy,
+                               periodic_orbit, quasi_steady_orbit,
+                               routh_hurwitz_stable, stability_check)
+from twintrap.meanfield import ConvergenceError, state_vector, working_point
+from twintrap.scenario import load_scenario, shipped_scenario
 
 RNG = np.random.default_rng(7121394)
 
@@ -262,3 +265,111 @@ def test_quasi_steady_orbit_flags_convergence():
     short = evolve_covariance(np.zeros((8, 8)), constant_half_grid(a, 400),
                               d, dt=0.005, store_stride=10)
     assert not quasi_steady_orbit(short, omega_d).converged
+
+
+# ------------------------------------------------------- periodic orbit
+
+def omega1_units(system):
+    """The system in the time unit 1/Omega_1, as the pipeline solves it."""
+    return system.rescaled(float(system.params.omega_mech[0]))
+
+
+def orbit_and_step(system):
+    """Periodic orbit at 256 RK4 steps per drive period, and that step."""
+    p, drv = system.params, system.drive
+    dt = 2 * math.pi / drv.mod_frequency / 256
+    return periodic_orbit(p, drv, dt), dt
+
+
+def plain_gap(system, orbit, dt, n_periods):
+    """Relative distance of a plain integration from CW after n periods
+    to the orbit start, on the same half-step grid."""
+    p, drv = system.params, system.drive
+    period = 2 * math.pi / drv.mod_frequency
+    end = meanfield.integrate_means(p, drv, (0.0, n_periods * period),
+                                    dt / 2).point(-1)
+    y0 = np.array(state_vector(orbit.means.point(0)))
+    return np.max(np.abs(np.array(state_vector(end)) - y0)) / np.max(np.abs(y0))
+
+
+def test_periodic_orbit_is_the_attractor(fig3_scenario):
+    # rho ~ 0.61: sixty periods of plain integration reach the orbit.
+    system = omega1_units(fig3_scenario.system())
+    orbit, dt = orbit_and_step(system)
+    assert orbit.rho < 0.7
+    assert orbit.residual < dynamics.SHOOT_TOL
+    assert len(orbit.means) == 513
+    assert orbit.means.t[0] == 0.0
+    assert math.isclose(orbit.means.t[-1], 2 * math.pi / system.drive.mod_frequency)
+    assert plain_gap(system, orbit, dt, 60) < 1e-10
+
+
+@pytest.mark.slow
+def test_periodic_orbit_near_resonant_drive(fig2_half_scenario):
+    # omega_D = Omega_1: plain Newton leaves the basin here, so the orbit
+    # needs the amplitude continuation.  After 500 periods the plain
+    # integration is still ~1e-6 short of periodic (rho ~ 0.97).
+    system = omega1_units(fig2_half_scenario.system())
+    orbit, dt = orbit_and_step(system)
+    assert orbit.rho < 1.0
+    assert plain_gap(system, orbit, dt, 500) < 1e-5
+
+
+def test_monodromy_is_fourth_order():
+    rng = np.random.default_rng(17)
+    base = random_stable_drift(rng, margin=1.0)
+    mod = rng.normal(size=(8, 8)) * 0.3
+
+    def run(n_steps):
+        dt = 2.0 / n_steps
+        ts = 0.5 * dt * np.arange(2 * n_steps + 1)
+        return monodromy(base[None] + mod[None] * np.sin(3.0 * ts)[:, None, None], dt)
+
+    coarse, mid, fine = run(50), run(100), run(200)
+    assert np.linalg.norm(coarse - fine) / np.linalg.norm(mid - fine) >= 7.0
+
+
+def test_monodromy_is_the_period_map_jacobian(fig2_sum_scenario):
+    system = omega1_units(fig2_sum_scenario.system())
+    p, drv = system.params, system.drive
+    orbit, dt = orbit_and_step(system)
+    phi = monodromy(drift_samples(orbit.means, p), dt)
+    period = 2 * math.pi / drv.mod_frequency
+    bare = orbit.means.bare_detuning
+
+    def period_map(y):
+        end = meanfield.integrate_means(p, drv, (0.0, period), dt / 2,
+                                        initial=working_point(p, y, bare))
+        return np.array(state_vector(end.point(-1)))
+
+    y0 = np.array(state_vector(orbit.means.point(0)))
+    jac = np.empty((8, 8))
+    for k in range(8):
+        step = np.zeros(8)
+        step[k] = 1e-4 * max(abs(y0[k]), 1.0)
+        jac[:, k] = (period_map(y0 + step) - period_map(y0 - step)) / (2 * step[k])
+    # Phi acts on quadratures: u = S y with S = diag(1, 1, 1, 1, sqrt2 x 4).
+    s = np.array([1.0] * 4 + [math.sqrt(2)] * 4)
+    assert np.max(np.abs(s[:, None] * jac / s[None, :] - phi)) \
+        < 1e-6 * np.max(np.abs(phi))
+
+
+def test_unstable_periodic_orbit_raises(tmp_path, capsys):
+    # Blue-detuned control modes: the shooting converges, but to an orbit
+    # with rho(Phi) ~ 1.13, which is never returned.
+    with open(shipped_scenario("fig2_sum")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["drive"]["detunings_omega1_units"] = [-1.0, -1.0]
+    path = tmp_path / "blue.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(UnstableSystemError):
+        orbit_and_step(omega1_units(load_scenario(path).system()))
+    assert cli.main(["effective", "--scenario", str(path)]) == cli.EXIT_UNSTABLE
+    assert "unstable" in capsys.readouterr().err
+
+
+def test_stalled_shooting_raises_with_residual(fig2_sum_scenario, monkeypatch):
+    monkeypatch.setattr(dynamics, "SHOOT_NEWTON_CAP", 0)
+    with pytest.raises(ConvergenceError) as err:
+        orbit_and_step(omega1_units(fig2_sum_scenario.system()))
+    assert math.isfinite(err.value.residual) and err.value.residual > 0

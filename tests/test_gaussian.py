@@ -133,12 +133,6 @@ def test_squeezing_monotone(r):
         log_negativity(two_mode_squeezed_cov(r))
 
 
-def test_base2_option():
-    v = two_mode_squeezed_cov(0.5)
-    assert abs(log_negativity(v, base2=True)
-               - 1.0 / math.log(2)) < 1e-9
-
-
 # ------------------------------------------------------------- validation
 
 def test_rejects_asymmetric_input():
