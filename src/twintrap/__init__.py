@@ -22,7 +22,6 @@ from .model import (
 from .meanfield import (
     ConvergenceError,
     MeanTrajectory,
-    WorkingPoint,
     integrate_means,
     steady_means,
 )

@@ -14,9 +14,8 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
 from .model import DerivedParams, DriveSpec
-from .meanfield import (ConvergenceError, MeanTrajectory, WorkingPoint,
-                        integrate_means, state_vector, steady_means,
-                        working_point)
+from .meanfield import (ConvergenceError, MeanTrajectory, integrate_means,
+                        steady_means)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -172,12 +171,11 @@ class CovTrajectory:
         return len(self.t)
 
 
-def drift_samples(traj: MeanTrajectory | WorkingPoint,
-                  params: DerivedParams) -> np.ndarray:
+def drift_samples(traj: MeanTrajectory, params: DerivedParams) -> np.ndarray:
     """Drift matrix of the linearized fluctuation equations at every sample.
 
-    Returns shape (n, 8, 8) for a ``MeanTrajectory`` of n samples and
-    (8, 8) for a single ``WorkingPoint``.
+    Returns shape (n, 8, 8) for a trajectory of n samples and (8, 8) for a
+    single working point.
     """
     g = traj.coupling  # (..., i, j) complex
     a = np.zeros(g.shape[:-2] + (8, 8))
@@ -331,9 +329,10 @@ def _shoot(params: DerivedParams, drive: DriveSpec, y: np.ndarray,
     # A diverging iterate may overflow; it shows as a non-finite residual.
     with np.errstate(all="ignore"):
         for it in range(SHOOT_NEWTON_CAP + 1):
+            start = MeanTrajectory.from_state(params, 0.0, y, bare)
             means = integrate_means(params, drive, (0.0, period), dt / 2,
-                                    initial=working_point(params, y, bare))
-            gap = np.array(state_vector(means.point(-1))) - y
+                                    initial=start)
+            gap = means.y[-1] - y
             residual = float(np.max(np.abs(gap)) / max(np.max(np.abs(y)), 1.0))
             if not math.isfinite(residual):
                 return None, None, math.inf
@@ -371,7 +370,7 @@ def periodic_orbit(params: DerivedParams, drive: DriveSpec,
         raise ValueError("periodic_orbit requires a modulated drive")
     n_steps = max(1, round(2 * math.pi / drive.mod_frequency / dt))
     cw = steady_means(params, drive.unmodulated())
-    y = np.array(state_vector(cw))
+    y = cw.y
     done, step = 0.0, 1.0
     while True:
         target = min(1.0, done + step)
@@ -387,7 +386,7 @@ def periodic_orbit(params: DerivedParams, drive: DriveSpec,
                     f"{done:.4f} (residual {residual:.3e})", residual)
             continue
         done = target
-        y = np.array(state_vector(means.point(0)))
+        y = means.y[0]
         if done == 1.0:
             break
     rho = float(np.max(np.abs(np.linalg.eigvals(phi))))

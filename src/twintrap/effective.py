@@ -9,16 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DerivedParams
-from .meanfield import MeanTrajectory, WorkingPoint
+from .meanfield import MeanTrajectory
 
 
-def weak_coupling_ok(wp: WorkingPoint, params: DerivedParams) -> bool:
+def weak_coupling_ok(wp: MeanTrajectory, params: DerivedParams) -> bool:
     """Adiabatic elimination assumes |G_ij| < kappa_i."""
     return bool(np.all(np.abs(wp.coupling) < params.kappa_control()[:, None]))
 
 
-def effective_J_series(traj: MeanTrajectory | WorkingPoint,
-                       params: DerivedParams) -> np.ndarray:
+def effective_J_series(traj: MeanTrajectory, params: DerivedParams) -> np.ndarray:
     """Mechanical-mechanical coupling matrix J at every sample.
 
     J_jl = sum_i [kappa_i Im(G_ij G_il*) + Delta_i Re(G_ij G_il*)]
@@ -26,8 +25,8 @@ def effective_J_series(traj: MeanTrajectory | WorkingPoint,
 
     the standard adiabatic-elimination form (Aspelmeyer, Kippenberg &
     Marquardt, RMP 86, 1391 (2014), Sec. VI), a rate like G; shape
-    (n, 2, 2) for a ``MeanTrajectory`` of n samples and (2, 2) for a
-    single ``WorkingPoint``.
+    (n, 2, 2) for a trajectory of n samples and (2, 2) for a single
+    working point.
     """
     kappa = params.kappa_control()
     out = np.zeros(traj.coupling.shape[:-2] + (2, 2))

@@ -96,18 +96,6 @@ def phonon_occupation(v: np.ndarray, mode: int) -> float | np.ndarray:
     return float(nbar) if nbar.ndim == 0 else nbar
 
 
-def two_mode_squeezed_cov(r: float, n_mean: float = 0.0) -> np.ndarray:
-    """Covariance of a (possibly thermal) two-mode squeezed state; test helper."""
-    c = (n_mean + 0.5) * math.cosh(2 * r)
-    s = (n_mean + 0.5) * math.sinh(2 * r)
-    return np.array([
-        [c, 0.0, s, 0.0],
-        [0.0, c, 0.0, -s],
-        [s, 0.0, c, 0.0],
-        [0.0, -s, 0.0, c],
-    ])
-
-
 @dataclass(frozen=True)
 class EntanglementReport:
     """Entanglement and occupation summary for one scenario or time sample."""

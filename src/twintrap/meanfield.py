@@ -3,7 +3,8 @@
 The linearized fluctuation dynamics is parameterized by the effective
 detunings Delta_i, the effective couplings G_ij = <a_i>(Gl_ij + 2 Gq_ij <x_j>)
 and the shifted trap frequencies Omega~_j.  This module solves the CW fixed
-point and integrates the driven mean-field equations.
+point and integrates the driven mean-field equations; both return a
+``MeanTrajectory``, the one mean-state type.
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ import numpy as np
 from .model import DerivedParams, DriveSpec
 
 
+#: CW fixed point: damping of the displacement iteration, the relative
+#: residual accepted as converged, and the iterations allowed.
+STEADY_DAMPING = 0.5
+STEADY_TOL = 1e-12
+STEADY_MAX_ITER = 10_000
+
+
 class ConvergenceError(RuntimeError):
     """Fixed point or integration failed to converge; carries the residual."""
 
@@ -25,48 +33,59 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WorkingPoint:
-    """Classical means and effective parameters at one time instant."""
-
-    t: float
-    a: np.ndarray            # (2,) complex control-mode means
-    x: np.ndarray            # (2,) mean positions, zero-point units
-    p: np.ndarray            # (2,) mean momenta
-    detuning: np.ndarray     # (2,) effective detunings Delta_i
-    coupling: np.ndarray     # (2, 2) complex effective couplings G_ij
-    omega_shifted: np.ndarray  # (2,) Omega~_j
-    bare_detuning: np.ndarray  # (2,) the delta_i consistent with Delta_i
-
-
-@dataclass(frozen=True)
 class MeanTrajectory:
-    """Densely sampled working points (arrays indexed by sample)."""
+    """Classical mean state and the effective parameters it defines.
+
+    ``y`` holds the state (x1, p1, x2, p2, Re a1, Im a1, Re a2, Im a2):
+    shape (n, 8) for a trajectory of n samples, (8,) for a working point at
+    one instant (``t`` 0-d).  ``traj[k]`` is the point at sample k and
+    ``traj[i:j]`` a window; both keep the bare detunings.
+    """
 
     t: np.ndarray
-    a: np.ndarray            # (n, 2) complex
-    x: np.ndarray            # (n, 2)
-    p: np.ndarray            # (n, 2)
-    detuning: np.ndarray     # (n, 2)
-    coupling: np.ndarray     # (n, 2, 2) complex
-    omega_shifted: np.ndarray  # (n, 2)
-    bare_detuning: np.ndarray  # (2,)
+    y: np.ndarray              # (..., 8)
+    detuning: np.ndarray       # (..., 2) effective detunings Delta_i
+    coupling: np.ndarray       # (..., 2, 2) complex effective couplings G_ij
+    omega_shifted: np.ndarray  # (..., 2) Omega~_j
+    bare_detuning: np.ndarray  # (2,) the delta_i consistent with Delta_i
+
+    @classmethod
+    def from_state(cls, params: DerivedParams, t, y,
+                   bare_detuning: np.ndarray) -> "MeanTrajectory":
+        """(Delta_i, G_ij, Omega~_j) from the mean state ``y`` of any
+        leading shape; the three defining identities."""
+        t = np.asarray(t, dtype=float)
+        y = np.asarray(y, dtype=float)
+        x = y[..., 0:4:2]
+        a = y[..., 4::2] + 1j * y[..., 5::2]
+        detuning = _detuning(params, bare_detuning, x)
+        coupling = a[..., :, None] * (params.g_lin + 2 * params.g_quad * x[..., None, :])
+        omega_shifted = params.omega_mech + 2 * (np.abs(a) ** 2) @ params.g_quad
+        return cls(t, y, detuning, coupling, omega_shifted, bare_detuning)
+
+    @property
+    def a(self) -> np.ndarray:
+        """Complex control-mode means, (..., 2)."""
+        return self.y[..., 4::2] + 1j * self.y[..., 5::2]
+
+    @property
+    def x(self) -> np.ndarray:
+        """Mean positions in zero-point units, (..., 2)."""
+        return self.y[..., 0:4:2]
+
+    @property
+    def p(self) -> np.ndarray:
+        """Mean momenta, (..., 2)."""
+        return self.y[..., 1:4:2]
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def point(self, idx: int) -> WorkingPoint:
-        return WorkingPoint(
-            t=self.t[idx], a=self.a[idx], x=self.x[idx], p=self.p[idx],
-            detuning=self.detuning[idx], coupling=self.coupling[idx],
-            omega_shifted=self.omega_shifted[idx], bare_detuning=self.bare_detuning,
-        )
-
-    def __getitem__(self, window: slice) -> "MeanTrajectory":
-        """The samples in ``window``, as a trajectory with the same bare detunings."""
+    def __getitem__(self, idx) -> "MeanTrajectory":
+        """The point at sample ``idx`` (an int) or the window ``idx`` (a slice)."""
         return MeanTrajectory(
-            self.t[window], self.a[window], self.x[window], self.p[window],
-            self.detuning[window], self.coupling[window],
-            self.omega_shifted[window], self.bare_detuning)
+            self.t[idx], self.y[idx], self.detuning[idx], self.coupling[idx],
+            self.omega_shifted[idx], self.bare_detuning)
 
 
 def _detuning(params: DerivedParams, bare: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -85,26 +104,14 @@ def _displacement_target(params: DerivedParams, n_phot: np.ndarray,
         / params.omega_mech
 
 
-def _effective_quantities(params: DerivedParams, a: np.ndarray, x: np.ndarray,
-                          bare_detuning: np.ndarray):
-    """(Delta_i, G_ij, Omega~_j) from means; the three defining identities.
-
-    ``a`` and ``x`` are one point, shape (2,), or a trajectory, shape (n, 2).
-    """
-    detuning = _detuning(params, bare_detuning, x)
-    coupling = a[..., :, None] * (params.g_lin + 2 * params.g_quad * x[..., None, :])
-    omega_shifted = params.omega_mech + 2 * (np.abs(a) ** 2) @ params.g_quad
-    return detuning, coupling, omega_shifted
-
-
-def steady_means(params: DerivedParams, drive: DriveSpec,
-                 damping: float = 0.5, tol: float = 1e-12,
-                 max_iter: int = 10_000) -> WorkingPoint:
+def steady_means(params: DerivedParams, drive: DriveSpec) -> MeanTrajectory:
     """CW fixed point of the mean-field equations.
 
     The drive specifies the *effective* detunings Delta_i, so the cavity
     means are closed-form; the mean displacements are found by damped
-    iteration and the bare detunings back-computed afterwards.
+    iteration (``STEADY_DAMPING``, to ``STEADY_TOL`` within
+    ``STEADY_MAX_ITER`` iterations) and the bare detunings back-computed
+    afterwards.  Returns the working point at t = 0.
     """
     if any(e > 0 for e in drive.mod_amplitudes):
         raise ValueError("steady_means requires a CW drive")
@@ -117,11 +124,11 @@ def steady_means(params: DerivedParams, drive: DriveSpec,
 
     x = np.zeros(2)
     residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(STEADY_MAX_ITER):
         target = _displacement_target(params, n_phot, x)
         residual = float(np.max(np.abs(target - x)) / (1 + np.max(np.abs(target))))
-        x = (1 - damping) * x + damping * target
-        if residual < tol:
+        x = (1 - STEADY_DAMPING) * x + STEADY_DAMPING * target
+        if residual < STEADY_TOL:
             break
     else:
         raise ConvergenceError(
@@ -129,10 +136,8 @@ def steady_means(params: DerivedParams, drive: DriveSpec,
             "scenario may be bistable", residual)
 
     bare = delta_eff - _detuning(params, 0.0, x)
-    detuning, coupling, omega_shifted = _effective_quantities(params, a, x, bare)
-    return WorkingPoint(t=0.0, a=a, x=x, p=np.zeros(2), detuning=detuning,
-                        coupling=coupling, omega_shifted=omega_shifted,
-                        bare_detuning=bare)
+    y = [x[0], 0.0, x[1], 0.0, a[0].real, a[0].imag, a[1].real, a[1].imag]
+    return MeanTrajectory.from_state(params, 0.0, y, bare)
 
 
 def _scalar_rhs(params: DerivedParams, bare: np.ndarray):
@@ -174,32 +179,13 @@ def _scalar_rhs(params: DerivedParams, bare: np.ndarray):
     return rhs
 
 
-def state_vector(wp: WorkingPoint) -> tuple:
-    """The mean state (x1, p1, x2, p2, Re a1, Im a1, Re a2, Im a2) as Python floats."""
-    (x1, x2), (p1, p2) = wp.x.tolist(), wp.p.tolist()
-    a1, a2 = complex(wp.a[0]), complex(wp.a[1])
-    return (x1, p1, x2, p2, a1.real, a1.imag, a2.real, a2.imag)
-
-
-def working_point(params: DerivedParams, y,
-                  bare_detuning: np.ndarray) -> WorkingPoint:
-    """The working point at t = 0 of the mean state ``y``, ordered as in
-    ``state_vector``."""
-    x = np.array([y[0], y[2]], dtype=float)
-    p = np.array([y[1], y[3]], dtype=float)
-    a = np.array([complex(y[4], y[5]), complex(y[6], y[7])])
-    return WorkingPoint(0.0, a, x, p,
-                        *_effective_quantities(params, a, x, bare_detuning),
-                        bare_detuning=bare_detuning)
-
-
 def integrate_means(params: DerivedParams, drive: DriveSpec,
                     t_span: tuple[float, float], dt: float,
-                    initial: WorkingPoint | None = None) -> MeanTrajectory:
+                    initial: MeanTrajectory | None = None) -> MeanTrajectory:
     """Fixed-step RK4 integration of the coherent dynamics.
 
     Starts from the CW fixed point of the unmodulated drive unless an
-    explicit initial working point is given.  Samples every step, endpoints
+    explicit initial point is given.  Samples every step, endpoints
     included.  The state is carried as Python floats; the drive at the end
     of one step is reused at the start of the next.
     """
@@ -217,7 +203,7 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
     half = dt / 2
     sixth = dt / 6
 
-    y0, y1, y2, y3, y4, y5, y6, y7 = state_vector(initial)
+    y0, y1, y2, y3, y4, y5, y6, y7 = initial.y.tolist()
     ys = np.empty((n_steps + 1, 8))
     ys[0] = y0, y1, y2, y3, y4, y5, y6, y7
     cos_end = cos(w * t0)
@@ -253,16 +239,13 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
         ys[k + 1] = y0, y1, y2, y3, y4, y5, y6, y7
 
     ts = t0 + dt * np.arange(n_steps + 1)
-    x, p = ys[:, 0:4:2], ys[:, 1:4:2]
-    a = ys[:, 4::2] + 1j * ys[:, 5::2]
-    return MeanTrajectory(ts, a, x, p, *_effective_quantities(params, a, x, bare),
-                          bare_detuning=bare)
+    return MeanTrajectory.from_state(params, ts, ys, bare)
 
 
 def fixed_point_residual(params: DerivedParams, drive: DriveSpec,
-                         wp: WorkingPoint) -> float:
+                         wp: MeanTrajectory) -> float:
     """Relative norm of the CW mean-field equations at a working point."""
-    y = state_vector(wp)
+    y = wp.y.tolist()
     rhs = _scalar_rhs(params, wp.bare_detuning)(
         drive.amplitude(1, 0.0), drive.amplitude(2, 0.0), *y)
     scale = max(max(abs(v) for v in y), 1.0) * float(np.max(params.kappa))

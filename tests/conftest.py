@@ -2,9 +2,13 @@
 
 The modulated evolutions take tens of seconds each, so they are computed
 once per session and shared between the module tests and the acceptance
-suite.
+suite.  ``two_mode_squeezed_cov`` is the closed-form oracle state of the
+Gaussian-measure tests.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from twintrap import pipeline
@@ -65,6 +69,18 @@ def fig3_run_full_recoil(fig3_scenario):
     """Same nanosphere scenario at the full free-space recoil rate."""
     system = fig3_scenario.system(recoil_scale=1.0)
     return pipeline.evolve(system, t_max_tau=fig3_scenario.numerics.t_max_tau)
+
+
+def two_mode_squeezed_cov(r: float, n_mean: float = 0.0) -> np.ndarray:
+    """Covariance of a (possibly thermal) two-mode squeezed state."""
+    c = (n_mean + 0.5) * math.cosh(2 * r)
+    s = (n_mean + 0.5) * math.sinh(2 * r)
+    return np.array([
+        [c, 0.0, s, 0.0],
+        [0.0, c, 0.0, -s],
+        [s, 0.0, c, 0.0],
+        [0.0, -s, 0.0, c],
+    ])
 
 
 def tail_window(run):

@@ -18,7 +18,7 @@ from twintrap import dynamics, effective, gaussian, meanfield, pipeline, readout
 from twintrap.model import ObjectSpec, derive_mass
 from twintrap.scenario import load_scenario, shipped_scenario
 
-from conftest import tail_window
+from conftest import tail_window, two_mode_squeezed_cov
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -69,7 +69,7 @@ def test_acceptance_02_lyapunov_correctness():
 def test_acceptance_03_entanglement_oracle():
     worst = 0.0
     for r in (0.1, 0.5, 1.0):
-        v = gaussian.two_mode_squeezed_cov(r)
+        v = two_mode_squeezed_cov(r)
         worst = max(worst,
                     abs(gaussian.eta_min(v) - math.exp(-2 * r) / 2),
                     abs(gaussian.log_negativity(v) - 2 * r))

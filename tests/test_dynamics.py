@@ -14,7 +14,7 @@ from twintrap.dynamics import (BlowupError, UnstableSystemError,
                                evolve_covariance, lyapunov_steady, monodromy,
                                periodic_orbit, quasi_steady_orbit,
                                routh_hurwitz_stable, stability_check)
-from twintrap.meanfield import ConvergenceError, state_vector, working_point
+from twintrap.meanfield import ConvergenceError, MeanTrajectory
 from twintrap.scenario import load_scenario, shipped_scenario
 
 RNG = np.random.default_rng(7121394)
@@ -74,8 +74,8 @@ def test_drift_samples_match_pointwise(fig2_sum_scenario):
     stacked = drift_samples(traj, p)
     assert stacked.shape == (len(traj), 8, 8)
     for k in (0, 3, len(traj) - 1):
-        assert np.array_equal(stacked[k], drift_samples(traj.point(k), p))
-        assert np.allclose(stacked[k], reference_drift(traj.point(k), p),
+        assert np.array_equal(stacked[k], drift_samples(traj[k], p))
+        assert np.allclose(stacked[k], reference_drift(traj[k], p),
                            rtol=1e-12)
 
 
@@ -287,9 +287,9 @@ def plain_gap(system, orbit, dt, n_periods):
     p, drv = system.params, system.drive
     period = 2 * math.pi / drv.mod_frequency
     end = meanfield.integrate_means(p, drv, (0.0, n_periods * period),
-                                    dt / 2).point(-1)
-    y0 = np.array(state_vector(orbit.means.point(0)))
-    return np.max(np.abs(np.array(state_vector(end)) - y0)) / np.max(np.abs(y0))
+                                    dt / 2).y[-1]
+    y0 = orbit.means.y[0]
+    return np.max(np.abs(end - y0)) / np.max(np.abs(y0))
 
 
 def test_periodic_orbit_is_the_attractor(fig3_scenario):
@@ -338,11 +338,11 @@ def test_monodromy_is_the_period_map_jacobian(fig2_sum_scenario):
     bare = orbit.means.bare_detuning
 
     def period_map(y):
-        end = meanfield.integrate_means(p, drv, (0.0, period), dt / 2,
-                                        initial=working_point(p, y, bare))
-        return np.array(state_vector(end.point(-1)))
+        start = MeanTrajectory.from_state(p, 0.0, y, bare)
+        return meanfield.integrate_means(p, drv, (0.0, period), dt / 2,
+                                         initial=start).y[-1]
 
-    y0 = np.array(state_vector(orbit.means.point(0)))
+    y0 = orbit.means.y[0]
     jac = np.empty((8, 8))
     for k in range(8):
         step = np.zeros(8)

@@ -57,7 +57,7 @@ def one_period_means(scenario):
 def test_J_is_symmetric(fig2_sum_scenario):
     p, traj = one_period_means(fig2_sum_scenario)
     for k in range(len(traj)):
-        j = effective_J_series(traj.point(k), p)
+        j = effective_J_series(traj[k], p)
         assert np.array_equal(j, j.T)
 
 
@@ -67,7 +67,7 @@ def test_series_matches_pointwise(fig2_sum_scenario):
     series = effective_J_series(traj, p)
     assert series.shape == (len(traj), 2, 2)
     for k in (0, 17, 64):
-        assert np.array_equal(series[k], effective_J_series(traj.point(k), p))
+        assert np.array_equal(series[k], effective_J_series(traj[k], p))
 
 
 # ------------------------------------------------------------- harmonics

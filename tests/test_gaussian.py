@@ -15,8 +15,9 @@ from twintrap import gaussian, pipeline
 from twintrap.gaussian import (EntanglementReport, eta_min, log_negativity,
                                mechanical_block, partial_transpose,
                                phonon_occupation, report_from_covariance,
-                               symplectic_form, symplectic_spectrum,
-                               two_mode_squeezed_cov)
+                               symplectic_form, symplectic_spectrum)
+
+from conftest import two_mode_squeezed_cov
 
 RNG = np.random.default_rng(20240817)
 

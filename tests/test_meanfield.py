@@ -1,11 +1,17 @@
 """Classical working point: fixed points and coherent trajectories."""
 
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 from scipy.integrate import solve_ivp
 
-from twintrap.meanfield import fixed_point_residual, integrate_means, steady_means
+from twintrap import cli, meanfield
+from twintrap.meanfield import (ConvergenceError, MeanTrajectory,
+                                fixed_point_residual, integrate_means,
+                                steady_means)
+from twintrap.scenario import shipped_scenario
 
 
 # ------------------------------------------------------------ fixed point
@@ -64,6 +70,46 @@ def test_frequency_shift_definition(fig1_scenario):
     assert np.allclose(wp.omega_shifted, expected, rtol=1e-12)
 
 
+def test_fixed_point_stall_raises_with_residual(fig1_scenario, monkeypatch,
+                                                capsys):
+    # One iteration from x = 0 cannot reach the tolerance.
+    monkeypatch.setattr(meanfield, "STEADY_MAX_ITER", 1)
+    system = fig1_scenario.system()
+    with pytest.raises(ConvergenceError, match="may be bistable") as err:
+        steady_means(system.params, system.drive)
+    assert math.isfinite(err.value.residual) and err.value.residual > 0
+    argv = ["steady", "--scenario", str(shipped_scenario("fig1_cw"))]
+    assert cli.main(argv) == cli.EXIT_NOCONV
+    assert "bistable" in capsys.readouterr().err
+
+
+def assert_same_point(got, want):
+    for field in dataclasses.fields(MeanTrajectory):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
+            field.name
+
+
+def test_one_constructor_serves_points_and_trajectories(fig2_sum_scenario,
+                                                        fig1_scenario):
+    system = fig2_sum_scenario.system()
+    p, drv = system.params, system.drive
+    period = 2 * math.pi / drv.mod_frequency
+    traj = integrate_means(p, drv, (0.0, period), period / 64)
+    assert traj.y.shape == (65, 8)
+    for k in (0, 17, 64):
+        point = MeanTrajectory.from_state(p, traj.t[k], traj.y[k],
+                                          traj.bare_detuning)
+        assert point.y.shape == (8,) and point.t.ndim == 0
+        assert_same_point(point, traj[k])
+
+    system = fig1_scenario.system()
+    wp = steady_means(system.params, system.drive)
+    assert_same_point(wp, MeanTrajectory.from_state(
+        system.params, wp.t, wp.y, wp.bare_detuning))
+    with pytest.raises(TypeError):
+        len(wp)
+
+
 # -------------------------------------------------------------- dynamics
 
 def test_integration_holds_fixed_point(fig1_scenario):
@@ -119,9 +165,7 @@ def test_integration_matches_solve_ivp(fig2_sum_scenario):
     period = 2 * math.pi / drv.mod_frequency
     traj = integrate_means(p, drv, (0.0, 5 * period), period / 256,
                            initial=wp0)
-    y = np.column_stack([traj.x[:, 0], traj.p[:, 0], traj.x[:, 1],
-                         traj.p[:, 1], traj.a.real[:, 0], traj.a.imag[:, 0],
-                         traj.a.real[:, 1], traj.a.imag[:, 1]])
+    y = traj.y
     ref = solve_ivp(rhs, (0.0, 5 * period), y[0], method="DOP853",
                     rtol=1e-12, atol=1e-12 * np.max(np.abs(y[0])),
                     t_eval=traj.t).y.T

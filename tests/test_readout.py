@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from twintrap.gaussian import log_negativity, two_mode_squeezed_cov
+from twintrap.gaussian import log_negativity
 from twintrap.readout import (AdiabaticityError, ProbeSpec,
                               ReconstructionError, output_observables,
                               reconstruct_mech_cov,
                               reconstruction_condition)
+
+from conftest import two_mode_squeezed_cov
 
 PROBE = ProbeSpec(kappa=20.0, coupling_plus=1.0, coupling_minus=1.0,
                   mean_x1=1.0, mean_x2=0.9)
