@@ -41,6 +41,7 @@ from .dynamics import (
     quasi_steady_orbit,
     routh_hurwitz_stable,
     stability_check,
+    steady_covariance,
 )
 from .gaussian import (
     EntanglementReport,
@@ -73,6 +74,7 @@ from .pipeline import (
     effective_report,
     evolve,
     steady_state,
+    steady_states,
 )
 from .scenario import Scenario, load_scenario, parse_scenario, shipped_scenario
 

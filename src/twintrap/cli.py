@@ -153,16 +153,17 @@ def cmd_sweep(scenario: Scenario, args) -> int:
         raise ConfigError("scenario has no sweep section")
     axis = scenario.sweep.axis
 
+    values = scenario.sweep.values   # input order: deterministic output
+    results = pipeline.steady_states(
+        [_system(scenario, args, **{axis: value}) for value in values])
     rows = []
     any_unstable = False
-    for value in scenario.sweep.values:   # input order: deterministic output
-        system = _system(scenario, args, **{axis: value})
-        try:
-            report, _ = pipeline.steady_state(system)
-        except UnstableSystemError:
+    for value, result in zip(values, results):
+        if isinstance(result, UnstableSystemError):
             any_unstable = True
             rows.append([f"{value:.12g}", "", "", "", "", "unstable"])
         else:
+            report = result[0]
             rows.append([f"{value:.12g}", f"{report.eta_min:.12g}",
                          f"{report.log_neg:.12g}", f"{report.nbar1:.12g}",
                          f"{report.nbar2:.12g}", "stable"])

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import lyapunov_steady
 from .model import DerivedParams
 from .meanfield import MeanTrajectory
 
@@ -169,11 +170,9 @@ def reduced_steady_state(harmonics: HarmonicDecomposition,
                          omega1: float, omega2: float,
                          damping: np.ndarray, n_bath: np.ndarray,
                          omega_d: float) -> np.ndarray:
-    """Rotating-frame steady covariance of the reduced model (constant drift)."""
-    from scipy.linalg import solve_continuous_lyapunov
+    """Rotating-frame steady covariance of the reduced model (constant drift).
 
+    Raises ``UnstableSystemError`` when squeezing exceeds damping.
+    """
     a, d = _reduced_generator(harmonics, omega1, omega2, damping, n_bath, omega_d)
-    if np.max(np.linalg.eigvals(a).real) >= 0:
-        raise RuntimeError("reduced model unstable: squeezing exceeds damping")
-    v = solve_continuous_lyapunov(a, -d)
-    return 0.5 * (v + v.T)
+    return lyapunov_steady(a, d)

@@ -118,15 +118,16 @@ class EntanglementReport:
         }
 
 
-def report_from_covariance(v: np.ndarray, stable: bool, t: float = 0.0) -> EntanglementReport:
-    """Full report from an 8x8 (or mechanical 4x4) covariance matrix."""
+def report_from_covariance(v: np.ndarray, stable: bool, t: float = 0.0
+                           ) -> EntanglementReport | list[EntanglementReport]:
+    """Full report from an 8x8 (or mechanical 4x4) covariance matrix; one
+    report per matrix, in a list, for a stack (B, n, n)."""
     block = mechanical_block(v)
     eta = eta_min(block)
-    return EntanglementReport(
-        eta_min=eta,
-        log_neg=max(0.0, -math.log(2.0 * eta)),
-        nbar1=phonon_occupation(block, 1),
-        nbar2=phonon_occupation(block, 2),
-        stable=stable,
-        t=t,
-    )
+    log_neg = np.maximum(0.0, -np.log(2.0 * eta))
+    nbar1 = phonon_occupation(block, 1)
+    nbar2 = phonon_occupation(block, 2)
+    if block.ndim == 2:
+        return EntanglementReport(eta, float(log_neg), nbar1, nbar2, stable, t)
+    return [EntanglementReport(*map(float, row), stable=stable, t=t)
+            for row in zip(eta, log_neg, nbar1, nbar2)]

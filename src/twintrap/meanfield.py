@@ -17,19 +17,19 @@ import numpy as np
 from .model import DerivedParams, DriveSpec
 
 
-#: CW fixed point: damping of the displacement iteration, the relative
-#: residual accepted as converged, and the iterations allowed.
-STEADY_DAMPING = 0.5
-STEADY_TOL = 1e-12
-STEADY_MAX_ITER = 10_000
-
-
 class ConvergenceError(RuntimeError):
-    """Fixed point or integration failed to converge; carries the residual."""
+    """An iterative solve failed to converge, or a solution missed its
+    residual bound; carries the residual."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
+
+
+class UnstableSystemError(RuntimeError):
+    """The requested steady state or periodic orbit does not exist: a trap
+    that does not confine (Omega~_j <= 0), a drift matrix with non-negative
+    spectrum, or a periodic orbit whose monodromy has spectral radius >= 1."""
 
 
 @dataclass(frozen=True)
@@ -96,22 +96,17 @@ def _detuning(params: DerivedParams, bare: np.ndarray, x: np.ndarray) -> np.ndar
     return bare + x @ params.g_lin.T + (x**2) @ params.g_quad.T
 
 
-def _displacement_target(params: DerivedParams, n_phot: np.ndarray,
-                         x: np.ndarray) -> np.ndarray:
-    """Mean positions balancing the trap against the radiation pressure of
-    ``n_phot`` photons per control mode, with the couplings taken at ``x``."""
-    return -(n_phot @ (params.g_lin + 2 * params.g_quad * x[None, :])) \
-        / params.omega_mech
-
-
 def steady_means(params: DerivedParams, drive: DriveSpec) -> MeanTrajectory:
-    """CW fixed point of the mean-field equations.
+    """CW fixed point of the mean-field equations, in closed form.
 
     The drive specifies the *effective* detunings Delta_i, so the cavity
-    means are closed-form; the mean displacements are found by damped
-    iteration (``STEADY_DAMPING``, to ``STEADY_TOL`` within
-    ``STEADY_MAX_ITER`` iterations) and the bare detunings back-computed
-    afterwards.  Returns the working point at t = 0.
+    means a_i = E_i / (kappa_i + i Delta_i) and the photon numbers n_i are
+    fixed.  The force balance Omega_j x_j = -sum_i n_i (Gl_ij + 2 Gq_ij x_j)
+    is then linear in each x_j alone: x_j = -(n Gl)_j / Omega~_j with
+    Omega~ = Omega + 2 n Gq.  The bare detunings are back-computed
+    afterwards.  Returns the working point at t = 0; raises
+    ``UnstableSystemError`` when some Omega~_j <= 0, since the trap then
+    does not confine.
     """
     if any(e > 0 for e in drive.mod_amplitudes):
         raise ValueError("steady_means requires a CW drive")
@@ -121,19 +116,12 @@ def steady_means(params: DerivedParams, drive: DriveSpec) -> MeanTrajectory:
 
     a = e_cw / (kappa + 1j * delta_eff)
     n_phot = np.abs(a) ** 2
-
-    x = np.zeros(2)
-    residual = math.inf
-    for _ in range(STEADY_MAX_ITER):
-        target = _displacement_target(params, n_phot, x)
-        residual = float(np.max(np.abs(target - x)) / (1 + np.max(np.abs(target))))
-        x = (1 - STEADY_DAMPING) * x + STEADY_DAMPING * target
-        if residual < STEADY_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"mean-field fixed point stalled (residual {residual:.3e}); "
-            "scenario may be bistable", residual)
+    omega_shifted = params.omega_mech + 2 * n_phot @ params.g_quad
+    if not np.all(omega_shifted > 0):
+        raise UnstableSystemError(
+            "no CW working point: the trap does not confine (shifted trap "
+            f"frequencies Omega~ = {omega_shifted.tolist()})")
+    x = -(n_phot @ params.g_lin) / omega_shifted
 
     bare = delta_eff - _detuning(params, 0.0, x)
     y = [x[0], 0.0, x[1], 0.0, a[0].real, a[0].imag, a[1].real, a[1].imag]

@@ -9,6 +9,7 @@ tau = 4 pi / (Omega_1 + Omega_2).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -56,14 +57,47 @@ def timestep(system: System) -> float:
     return 2 * math.pi / (STEPS_PER_CYCLE * fastest)
 
 
+def steady_states(systems: Sequence[System]) -> list:
+    """CW steady states of many systems in one stacked pass, in input order.
+
+    Builds each system's working point, drift and diffusion, then runs one
+    stacked stability check, Lyapunov solve and Gaussian analysis.  Returns
+    one ``(EntanglementReport, covariance)`` per system, or the
+    ``UnstableSystemError`` of a system that has no steady state.
+    """
+    out: list = [None] * len(systems)
+    index, drifts, diffusions = [], [], []
+    for k, system in enumerate(systems):
+        sys_n = system.rescaled(float(system.params.omega_mech[0]))
+        try:
+            wp = meanfield.steady_means(sys_n.params, sys_n.drive.unmodulated())
+        except meanfield.UnstableSystemError as exc:
+            out[k] = exc
+            continue
+        index.append(k)
+        drifts.append(dynamics.drift_samples(wp, sys_n.params))
+        diffusions.append(dynamics.build_diffusion(
+            sys_n.params, high_t=sys_n.diffusion_high_t))
+    if not index:
+        return out
+    stability, v = dynamics.steady_covariance(np.array(drifts),
+                                              np.array(diffusions))
+    reports = gaussian.report_from_covariance(v, stable=True) if len(v) else []
+    stable = iter(zip(reports, v))
+    for k, ok, verdict, margin in zip(index, stability.stable,
+                                      stability.verdict, stability.margin):
+        out[k] = next(stable) if ok else dynamics.UnstableSystemError(
+            f"no steady state: drift is {verdict} (margin {margin:.3e})")
+    return out
+
+
 def steady_state(system: System) -> tuple[gaussian.EntanglementReport, np.ndarray]:
-    """CW steady state: fixed point, Lyapunov solve, entanglement report."""
-    sys_n = system.rescaled(float(system.params.omega_mech[0]))
-    wp = meanfield.steady_means(sys_n.params, sys_n.drive.unmodulated())
-    a = dynamics.drift_samples(wp, sys_n.params)
-    d = dynamics.build_diffusion(sys_n.params, high_t=sys_n.diffusion_high_t)
-    v = dynamics.lyapunov_steady(a, d)   # raises UnstableSystemError
-    return gaussian.report_from_covariance(v, stable=True), v
+    """CW steady state of one system: ``steady_states`` of a one-system
+    stack.  Raises ``UnstableSystemError`` when there is none."""
+    (result,) = steady_states([system])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)

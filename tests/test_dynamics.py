@@ -136,6 +136,30 @@ def test_stability_report_verdicts():
     assert marginal.verdict == "marginal"
 
 
+def mixed_drifts(rng):
+    """Stable, unstable and marginal 8x8 drifts, interleaved."""
+    drifts = []
+    for k in range(12):
+        a = rng.normal(size=(8, 8))
+        drifts.append(a - (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(8)
+                      if k % 3 else a)
+    drifts.append(np.diag([0.0] + [-1.0] * 7))
+    return np.array(drifts)
+
+
+def test_stacked_stability_matches_per_matrix():
+    stack = mixed_drifts(np.random.default_rng(41))
+    report = stability_check(stack)
+    verdicts = routh_hurwitz_stable(stack)
+    assert report.verdict.shape == report.margin.shape == verdicts.shape == (13,)
+    assert set(report.verdict) == {"stable", "unstable", "marginal"}
+    for k, a in enumerate(stack):
+        single = stability_check(a)
+        assert report.verdict[k] == single.verdict
+        assert report.margin[k] == single.margin
+        assert verdicts[k] == routh_hurwitz_stable(a)
+
+
 # ------------------------------------------------------- Lyapunov solves
 
 def test_lyapunov_residual_and_positivity():
@@ -155,6 +179,53 @@ def test_lyapunov_matches_scipy():
     d = random_psd(rng)
     assert np.allclose(lyapunov_steady(a, d),
                        solve_continuous_lyapunov(a, -d), rtol=1e-9)
+
+
+def test_stacked_lyapunov_matches_scipy():
+    rng = np.random.default_rng(6)
+    a = np.array([random_stable_drift(rng) for _ in range(5)])
+    d = np.array([random_psd(rng) for _ in range(5)])
+    v = lyapunov_steady(a, d)
+    assert v.shape == (5, 8, 8)
+    for k in range(5):
+        assert np.allclose(v[k], solve_continuous_lyapunov(a[k], -d[k]),
+                           rtol=1e-9)
+
+
+def test_lyapunov_stack_longer_than_a_chunk():
+    rng = np.random.default_rng(8)
+    n = dynamics.LYAPUNOV_CHUNK + 7
+    a = np.array([random_stable_drift(rng) for _ in range(n)])
+    d = random_psd(rng)
+    v = lyapunov_steady(a, d)
+    for k in (0, dynamics.LYAPUNOV_CHUNK - 1, dynamics.LYAPUNOV_CHUNK, n - 1):
+        assert np.array_equal(v[k], lyapunov_steady(a[k], d))
+    a[n - 3] = -a[n - 3]
+    with pytest.raises(UnstableSystemError, match=f"matrix {n - 3} of"):
+        lyapunov_steady(a, d)
+
+
+def test_lyapunov_bound_miss_exits_4(fig1_scenario, monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "LYAPUNOV_RTOL", 1e-30)
+    with pytest.raises(ConvergenceError, match="Lyapunov residual") as err:
+        pipeline.steady_state(fig1_scenario.system())
+    assert 0 < err.value.residual < 1e-10
+    argv = ["steady", "--scenario", str(shipped_scenario("fig1_cw"))]
+    assert cli.main(argv) == cli.EXIT_NOCONV
+    assert "Lyapunov residual" in capsys.readouterr().err
+
+
+def test_blue_detuned_stable_sweep(tmp_path, capsys):
+    # Stable blue-detuned points whose steady state the Bartels-Stewart
+    # solver left at a residual of 2-8e-10; the vec form gets 4.7e-11.
+    with open(shipped_scenario("fig1_cw")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["sweep"]["values"] = [1.0, -2.95, -2.92]
+    path = tmp_path / "blue.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["sweep", "--scenario", str(path)]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["stable"] * 3
 
 
 def test_lyapunov_rejects_unstable_drift():

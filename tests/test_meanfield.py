@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from scipy.integrate import solve_ivp
 
-from twintrap import cli, meanfield
-from twintrap.meanfield import (ConvergenceError, MeanTrajectory,
+from twintrap import cli, model, pipeline
+from twintrap.meanfield import (MeanTrajectory, UnstableSystemError,
                                 fixed_point_residual, integrate_means,
                                 steady_means)
-from twintrap.scenario import shipped_scenario
+from twintrap.scenario import parse_scenario, shipped_scenario
 
 
 # ------------------------------------------------------------ fixed point
@@ -70,17 +71,65 @@ def test_frequency_shift_definition(fig1_scenario):
     assert np.allclose(wp.omega_shifted, expected, rtol=1e-12)
 
 
-def test_fixed_point_stall_raises_with_residual(fig1_scenario, monkeypatch,
-                                                capsys):
-    # One iteration from x = 0 cannot reach the tolerance.
-    monkeypatch.setattr(meanfield, "STEADY_MAX_ITER", 1)
+def damped_fixed_point(params, drive, damping=0.5, tol=1e-12, max_iter=10_000):
+    """Mean positions by the damped displacement iteration: the reference
+    the closed form in ``steady_means`` replaced."""
+    kappa = params.kappa_control()
+    a = np.asarray(drive.cw_amplitudes) / (kappa + 1j * np.asarray(drive.detunings))
+    n_phot = np.abs(a) ** 2
+    x = np.zeros(2)
+    for _ in range(max_iter):
+        target = -(n_phot @ (params.g_lin + 2 * params.g_quad * x[None, :])) \
+            / params.omega_mech
+        residual = np.max(np.abs(target - x)) / (1 + np.max(np.abs(target)))
+        x = (1 - damping) * x + damping * target
+        if residual < tol:
+            return x
+    raise AssertionError(f"reference iteration stalled at {residual:.3e}")
+
+
+@pytest.mark.parametrize("phase", [0.25, 0.1, 0.4])
+def test_closed_form_matches_damped_iteration(phase):
+    # fig1_cw sits at phase pi/4, where Gq_ij = 0 and Omega~ = Omega; at
+    # 0.1 pi and 0.4 pi the quadratic coupling shifts Omega~ by +-(0.4 to
+    # 38)e-6 relative across the grid.
+    with open(shipped_scenario("fig1_cw")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["cavity"]["phases_over_pi"] = [[phase, phase], [phase, -phase]]
+    scenario = parse_scenario(doc)
+    for detuning in np.linspace(0.2, 2.0, 200):
+        system = scenario.system(detuning=float(detuning))
+        wp = steady_means(system.params, system.drive)
+        ref = damped_fixed_point(system.params, system.drive)
+        assert np.max(np.abs(wp.x - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert fixed_point_residual(system.params, system.drive, wp) < 1e-10
+
+
+def nonconfining(params, drive):
+    """``params`` with a quadratic coupling strong and negative enough that
+    Omega~_j = Omega_j + 2 sum_i n_i Gq_ij < 0 for both objects."""
+    kappa = params.kappa_control()
+    n_phot = np.abs(np.asarray(drive.cw_amplitudes)
+                    / (kappa + 1j * np.asarray(drive.detunings))) ** 2
+    g_quad = -np.full((2, 2), float(params.omega_mech.max() / n_phot.min()))
+    return dataclasses.replace(params, g_quad=g_quad)
+
+
+def test_nonconfining_trap_raises_unstable(fig1_scenario, monkeypatch, capsys):
     system = fig1_scenario.system()
-    with pytest.raises(ConvergenceError, match="may be bistable") as err:
-        steady_means(system.params, system.drive)
-    assert math.isfinite(err.value.residual) and err.value.residual > 0
+    bad = nonconfining(system.params, system.drive)
+    with pytest.raises(UnstableSystemError, match="Omega~"):
+        steady_means(bad, system.drive)
+    good, failed = pipeline.steady_states(
+        [system, dataclasses.replace(system, params=bad)])
+    assert good[0].stable and isinstance(failed, UnstableSystemError)
+
+    derive = model.derive_params
+    monkeypatch.setattr(model, "derive_params", lambda *args: nonconfining(
+        derive(*args), system.drive))
     argv = ["steady", "--scenario", str(shipped_scenario("fig1_cw"))]
-    assert cli.main(argv) == cli.EXIT_NOCONV
-    assert "bistable" in capsys.readouterr().err
+    assert cli.main(argv) == cli.EXIT_UNSTABLE
+    assert "Omega~" in capsys.readouterr().err
 
 
 def assert_same_point(got, want):

@@ -249,11 +249,11 @@ def test_constants_equal_scipy_values():
 
 
 def test_import_leaves_heavy_scipy_modules_out():
-    # scipy.optimize is imported only when a mode waist is calibrated, and
-    # the physical constants are literals.
+    # scipy.optimize is imported only when a mode waist is calibrated, the
+    # physical constants are literals and the Lyapunov solve is NumPy's.
     code = ("import sys, twintrap; "
             "print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy.optimize', 'scipy.constants'))))")
+            "('scipy.optimize', 'scipy.constants', 'scipy.linalg'))))")
     package_root = str(Path(model.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))

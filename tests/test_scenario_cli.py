@@ -236,6 +236,23 @@ def test_sweep_minimum_occupancy_near_resonance(tmp_path):
     assert 0.8 <= float(best["detuning"]) <= 1.2
 
 
+def test_sweep_keeps_unstable_rows_in_place(tmp_path, capsys):
+    # Blue-detuned points have no steady state; the stacked pass must
+    # leave them as ``unstable`` rows at their input positions.
+    doc = base_doc()
+    values = [-1.0, 1.0, -0.5, 0.5]
+    doc["sweep"] = {"axis": "detuning", "values": values}
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["sweep", "--scenario", str(path)]) == cli.EXIT_UNSTABLE
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["stability"] for r in rows] == ["unstable", "stable"] * 2
+    for value, row in zip(values[1::2], rows[1::2]):
+        report, _ = pipeline.steady_state(load_scenario(path).system(
+            detuning=value))
+        assert math.isclose(float(row["eta_min"]), report.eta_min,
+                            rel_tol=1e-10)
+
+
 def test_sweep_requires_sweep_section(tmp_path, capsys):
     doc = base_doc()
     del doc["sweep"]
