@@ -29,6 +29,10 @@ LYAPUNOV_RTOL = 1e-10
 #: slower, chunks of 256 no faster, and one whole stack took 90 MiB more.
 LYAPUNOV_CHUNK = 64
 
+#: Relative period-to-period covariance change below which an evolved
+#: trajectory counts as quasi-steady.
+QUASI_STEADY_TOL = 1e-3
+
 #: Periodic-orbit shooting: relative residual |y(T) - y(0)| accepted as
 #: periodic, Newton iterations allowed per continuation step, and the
 #: smallest step in the modulation amplitude before giving up.
@@ -246,8 +250,7 @@ def drift_samples(traj: MeanTrajectory, params: DerivedParams) -> np.ndarray:
 
 
 def evolve_covariance(v0: np.ndarray, a_half: np.ndarray, d: np.ndarray,
-                      dt: float, t0: float = 0.0,
-                      store_stride: int = 1) -> CovTrajectory:
+                      dt: float, store_stride: int = 1) -> CovTrajectory:
     """RK4 integration of V' = A(t) V + V A(t)^T + D for n x n matrices.
 
     ``a_half`` holds drift matrices on the half-step grid: 2N + 1 samples at
@@ -271,7 +274,7 @@ def evolve_covariance(v0: np.ndarray, a_half: np.ndarray, d: np.ndarray,
     n_stored = n_steps // store_stride + 1
     out_t = np.empty(n_stored)
     out_v = np.empty((n_stored,) + v.shape)
-    out_t[0] = t0
+    out_t[0] = 0.0
     out_v[0] = v
     stored = 1
     half = 0.5 * dt
@@ -291,9 +294,9 @@ def evolve_covariance(v0: np.ndarray, a_half: np.ndarray, d: np.ndarray,
         v = v + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         flat = v.ravel()
         if not flat @ flat <= bound:
-            raise BlowupError(t0 + (k + 1) * dt)
+            raise BlowupError((k + 1) * dt)
         if (k + 1) % store_stride == 0:
-            out_t[stored] = t0 + (k + 1) * dt
+            out_t[stored] = (k + 1) * dt
             out_v[stored] = v
             stored += 1
     return CovTrajectory(t=out_t[:stored], v=out_v[:stored])
@@ -309,10 +312,9 @@ class QuasiSteadyOrbit:
     period_change: float
 
 
-def quasi_steady_orbit(traj: CovTrajectory, omega_d: float,
-                       tol: float = 1e-3) -> QuasiSteadyOrbit:
+def quasi_steady_orbit(traj: CovTrajectory, omega_d: float) -> QuasiSteadyOrbit:
     """Final-period samples, flagged converged when the period-to-period
-    relative covariance change falls below ``tol``.
+    relative covariance change falls below ``QUASI_STEADY_TOL``.
 
     For an unmodulated run (``omega_d`` = 0) the final sample is compared
     against the one a nominal period earlier.
@@ -329,7 +331,8 @@ def quasi_steady_orbit(traj: CovTrajectory, omega_d: float,
     prev = traj.v[-(2 * n_per + 1):-n_per]
     change = float(np.max(
         np.linalg.norm(last - prev, axis=(1, 2)) / np.linalg.norm(last, axis=(1, 2))))
-    return QuasiSteadyOrbit(traj.t[-(n_per + 1):], last, change < tol, change)
+    return QuasiSteadyOrbit(traj.t[-(n_per + 1):], last,
+                            change < QUASI_STEADY_TOL, change)
 
 
 def monodromy(a_half: np.ndarray, dt: float) -> np.ndarray:
@@ -375,7 +378,7 @@ def _shoot(params: DerivedParams, drive: DriveSpec, y: np.ndarray,
     with np.errstate(all="ignore"):
         for it in range(SHOOT_NEWTON_CAP + 1):
             start = MeanTrajectory.from_state(params, 0.0, y, bare)
-            means = integrate_means(params, drive, (0.0, period), dt / 2,
+            means = integrate_means(params, drive, (0.0, period), dt,
                                     initial=start)
             gap = means.y[-1] - y
             residual = float(np.max(np.abs(gap)) / max(np.max(np.abs(y)), 1.0))
@@ -399,10 +402,10 @@ def periodic_orbit(params: DerivedParams, drive: DriveSpec,
                    dt: float) -> PeriodicOrbit:
     """The periodic mean-field orbit of a modulated drive, by Newton shooting.
 
-    Solves y(0) = y(T) for the 8-float mean state on the RK4 period map,
-    with the mean field integrated at dt/2 so that the returned samples
-    are the half-step drift grid of an RK4 step dt (rounded so that whole
-    steps span the period T).  The Jacobian of the period map is the
+    Solves y(0) = y(T) for the 8-float mean state on the period map of RK4
+    steps dt (rounded so that whole steps span the period T); the returned
+    samples are ``integrate_means``' half-step grid, the drift grid of an
+    RK4 step dt of the fluctuations.  The Jacobian of the period map is the
     monodromy of the linearized drift, which is the fluctuation drift.
     The modulation amplitudes are continued from 0, where the CW fixed
     point is the orbit, to their full value: each step is tried whole and

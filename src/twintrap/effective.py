@@ -12,6 +12,10 @@ from .dynamics import lyapunov_steady
 from .model import DerivedParams
 from .meanfield import MeanTrajectory
 
+#: Relative detuning, in units of the larger trap frequency, within which
+#: ``rwa_classify`` counts a process frequency as matched by a harmonic.
+RWA_REL_TOL = 1e-2
+
 
 def weak_coupling_ok(wp: MeanTrajectory, params: DerivedParams) -> bool:
     """Adiabatic elimination assumes |G_ij| < kappa_i."""
@@ -95,8 +99,8 @@ class ProcessTag:
     resonant: bool
 
 
-def rwa_classify(omega1: float, omega2: float, omega_d: float,
-                 rel_tol: float = 1e-2) -> list[ProcessTag]:
+def rwa_classify(omega1: float, omega2: float,
+                 omega_d: float) -> list[ProcessTag]:
     """Tag each effective-Hamiltonian process with its resonance status.
 
     A process oscillating at frequency f survives the rotating-wave screen
@@ -107,11 +111,11 @@ def rwa_classify(omega1: float, omega2: float, omega_d: float,
     scale = max(omega1, omega2)
 
     def match(target: float) -> int | None:
-        if abs(target) <= rel_tol * scale:
+        if abs(target) <= RWA_REL_TOL * scale:
             return 0
         if omega_d > 0:
             for n in (1, 2):
-                if abs(target - n * omega_d) <= rel_tol * scale:
+                if abs(target - n * omega_d) <= RWA_REL_TOL * scale:
                     return n
         return None
 

@@ -170,12 +170,19 @@ def _scalar_rhs(params: DerivedParams, bare: np.ndarray):
 def integrate_means(params: DerivedParams, drive: DriveSpec,
                     t_span: tuple[float, float], dt: float,
                     initial: MeanTrajectory | None = None) -> MeanTrajectory:
-    """Fixed-step RK4 integration of the coherent dynamics.
+    """Fixed-step RK4 integration of the coherent dynamics, sampled at dt/2.
 
-    Starts from the CW fixed point of the unmodulated drive unless an
-    explicit initial point is given.  Samples every step, endpoints
-    included.  The state is carried as Python floats; the drive at the end
-    of one step is reused at the start of the next.
+    Takes N RK4 steps of dt (rounded so that whole steps span ``t_span``)
+    and returns the half-step grid of 2N + 1 samples at spacing dt/2 that an
+    RK4 step dt of the fluctuations reads: even samples are the RK4 states,
+    odd samples the cubic Hermite midpoints
+    (y_k + y_{k+1}) / 2 + dt / 8 (f_k - f_{k+1}) built from the slopes at the
+    step ends.  Those slopes are each step's first RK4 stage, so the grid
+    costs 4N + 1 RHS evaluations; the midpoints are fourth order, like the
+    steps.  Starts from the CW fixed point of the unmodulated drive unless
+    an explicit initial point is given.  The state is carried as Python
+    floats; the drive at the end of one step is reused at the start of the
+    next.
     """
     if initial is None:
         initial = steady_means(params, drive.unmodulated())
@@ -192,7 +199,8 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
     sixth = dt / 6
 
     y0, y1, y2, y3, y4, y5, y6, y7 = initial.y.tolist()
-    ys = np.empty((n_steps + 1, 8))
+    ys = np.empty((2 * n_steps + 1, 8))
+    slopes = np.empty((n_steps + 1, 8))
     ys[0] = y0, y1, y2, y3, y4, y5, y6, y7
     cos_end = cos(w * t0)
     for k in range(n_steps):
@@ -201,9 +209,10 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
         cos_mid = cos(w * (t + half))
         cos_end = cos(w * (t + dt))
         e1, e2 = c1 + m1 * cos_mid, c2 + m2 * cos_mid
-        f0, f1, f2, f3, f4, f5, f6, f7 = rhs(
-            c1 + m1 * cos_start, c2 + m2 * cos_start,
-            y0, y1, y2, y3, y4, y5, y6, y7)
+        f = rhs(c1 + m1 * cos_start, c2 + m2 * cos_start,
+                y0, y1, y2, y3, y4, y5, y6, y7)
+        slopes[k] = f
+        f0, f1, f2, f3, f4, f5, f6, f7 = f
         g0, g1, g2, g3, g4, g5, g6, g7 = rhs(
             e1, e2, y0 + half * f0, y1 + half * f1, y2 + half * f2,
             y3 + half * f3, y4 + half * f4, y5 + half * f5, y6 + half * f6,
@@ -224,9 +233,20 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
         y5 += sixth * (f5 + 2 * g5 + 2 * h5 + j5)
         y6 += sixth * (f6 + 2 * g6 + 2 * h6 + j6)
         y7 += sixth * (f7 + 2 * g7 + 2 * h7 + j7)
-        ys[k + 1] = y0, y1, y2, y3, y4, y5, y6, y7
+        ys[2 * k + 2] = y0, y1, y2, y3, y4, y5, y6, y7
+    slopes[n_steps] = rhs(c1 + m1 * cos_end, c2 + m2 * cos_end,
+                          y0, y1, y2, y3, y4, y5, y6, y7)
 
-    ts = t0 + dt * np.arange(n_steps + 1)
+    # Hermite midpoints, formed in place in the odd rows: full-size
+    # temporaries here raised the peak RSS of a 160 tau fig2_sum evolve by
+    # 5 MiB.
+    mid = ys[1::2]
+    np.subtract(slopes[:-1], slopes[1:], out=mid)
+    mid *= dt / 4
+    mid += ys[:-1:2]
+    mid += ys[2::2]
+    mid *= 0.5
+    ts = t0 + half * np.arange(2 * n_steps + 1)
     return MeanTrajectory.from_state(params, ts, ys, bare)
 
 

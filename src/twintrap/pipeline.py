@@ -120,8 +120,11 @@ def evolve(system: System, t_max_tau: float,
     """Integrate the covariance under the (possibly modulated) drive.
 
     Runs for ``t_max_tau`` units of tau = 4 pi / (Omega1 + Omega2), starting
-    from the CW steady state.  Storage is aligned to the drive period so
-    the quasi-steady orbit can be extracted exactly.
+    from the CW steady state.  The means and the covariance take the same
+    RK4 step dt; the covariance stages read the drift on the means'
+    half-step grid, whose midpoints are Hermite values, not RHS stages.
+    Storage is aligned to the drive period so the quasi-steady orbit can be
+    extracted exactly.
     """
     scale = float(system.params.omega_mech[0])
     sys_n = system.rescaled(scale)
@@ -141,7 +144,7 @@ def evolve(system: System, t_max_tau: float,
     n_steps = n_periods * steps_per_period
 
     wp0 = meanfield.steady_means(p, drv.unmodulated())
-    means = meanfield.integrate_means(p, drv, (0.0, n_steps * dt), dt / 2,
+    means = meanfield.integrate_means(p, drv, (0.0, n_steps * dt), dt,
                                       initial=wp0)
     a_half = dynamics.drift_samples(means, p)
     d = dynamics.build_diffusion(p, high_t=sys_n.diffusion_high_t)

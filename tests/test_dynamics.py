@@ -354,11 +354,11 @@ def orbit_and_step(system):
 
 def plain_gap(system, orbit, dt, n_periods):
     """Relative distance of a plain integration from CW after n periods
-    to the orbit start, on the same half-step grid."""
+    to the orbit start, with the orbit's own RK4 step."""
     p, drv = system.params, system.drive
     period = 2 * math.pi / drv.mod_frequency
     end = meanfield.integrate_means(p, drv, (0.0, n_periods * period),
-                                    dt / 2).y[-1]
+                                    dt).y[-1]
     y0 = orbit.means.y[0]
     return np.max(np.abs(end - y0)) / np.max(np.abs(y0))
 
@@ -410,7 +410,7 @@ def test_monodromy_is_the_period_map_jacobian(fig2_sum_scenario):
 
     def period_map(y):
         start = MeanTrajectory.from_state(p, 0.0, y, bare)
-        return meanfield.integrate_means(p, drv, (0.0, period), dt / 2,
+        return meanfield.integrate_means(p, drv, (0.0, period), dt,
                                          initial=start).y[-1]
 
     y0 = orbit.means.y[0]

@@ -47,7 +47,7 @@ def test_si_coupling_does_not_depend_on_the_time_unit(fig1_scenario):
 
 
 def one_period_means(scenario):
-    """Mean-field orbit over one drive period from the CW fixed point, 65 samples."""
+    """Mean-field orbit over one drive period from the CW fixed point, 129 samples."""
     system = scenario.system()
     p, drv = system.params, system.drive
     period = 2 * math.pi / drv.mod_frequency
@@ -63,10 +63,10 @@ def test_J_is_symmetric(fig2_sum_scenario):
 
 def test_series_matches_pointwise(fig2_sum_scenario):
     p, traj = one_period_means(fig2_sum_scenario)
-    assert len(traj) == 65
+    assert len(traj) == 129
     series = effective_J_series(traj, p)
     assert series.shape == (len(traj), 2, 2)
-    for k in (0, 17, 64):
+    for k in (0, 17, 128):
         assert np.array_equal(series[k], effective_J_series(traj[k], p))
 
 

@@ -8,7 +8,8 @@ import pytest
 import yaml
 from scipy.integrate import solve_ivp
 
-from twintrap import cli, model, pipeline
+from twintrap import cli, meanfield, model, pipeline
+from twintrap.dynamics import drift_samples
 from twintrap.meanfield import (MeanTrajectory, UnstableSystemError,
                                 fixed_point_residual, integrate_means,
                                 steady_means)
@@ -144,8 +145,8 @@ def test_one_constructor_serves_points_and_trajectories(fig2_sum_scenario,
     p, drv = system.params, system.drive
     period = 2 * math.pi / drv.mod_frequency
     traj = integrate_means(p, drv, (0.0, period), period / 64)
-    assert traj.y.shape == (65, 8)
-    for k in (0, 17, 64):
+    assert traj.y.shape == (129, 8)
+    for k in (0, 17, 128):
         point = MeanTrajectory.from_state(p, traj.t[k], traj.y[k],
                                           traj.bare_detuning)
         assert point.y.shape == (8,) and point.t.ndim == 0
@@ -183,21 +184,27 @@ def test_modulated_means_oscillate_at_drive_period(fig2_sum_scenario):
     traj = integrate_means(p, drv, (0.0, 400 * period), dt, initial=wp0)
     n = len(traj)
     last = traj.a[n - 1]
-    one_before = traj.a[n - 1 - 256]
+    one_before = traj.a[n - 1 - 512]
     assert np.allclose(last, one_before, rtol=5e-2)
     # The cavity means respond to the modulation at a visible depth.
-    tail = traj.a[n - 257:, 1]
+    tail = traj.a[n - 513:, 1]
     assert (abs(tail).max() - abs(tail).min()) / abs(tail).mean() > 0.01
 
 
-def test_integration_matches_solve_ivp(fig2_sum_scenario):
-    # Reference: the coherent equations in complex NumPy form, integrated by
-    # an adaptive 8th-order solver, over five drive periods (Omega_1 = 1).
-    system = fig2_sum_scenario.system()
-    sys_n = system.rescaled(float(system.params.omega_mech[0]))
-    p, drv = sys_n.params, sys_n.drive
-    wp0 = steady_means(p, drv.unmodulated())
-    kappa, bare = p.kappa_control(), wp0.bare_detuning
+def fig2_sum_at_phase(phase):
+    """fig2_sum in the time unit 1/Omega_1, its cavity phases set to
+    +-``phase`` pi; away from the shipped pi/4 the quadratic coupling Gq is
+    nonzero."""
+    with open(shipped_scenario("fig2_sum")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["cavity"]["phases_over_pi"] = [[phase, phase], [phase, -phase]]
+    system = parse_scenario(doc).system()
+    return system.rescaled(float(system.params.omega_mech[0]))
+
+
+def reference_rhs(p, drv, bare):
+    """The coherent equations in complex NumPy form, rhs(t, y)."""
+    kappa = p.kappa_control()
 
     def rhs(t, y):
         x, mom, a = y[0:4:2], y[1:4:2], y[4::2] + 1j * y[5::2]
@@ -211,11 +218,89 @@ def test_integration_matches_solve_ivp(fig2_sum_scenario):
         out[4::2], out[5::2] = da.real, da.imag
         return out
 
+    return rhs
+
+
+def test_integration_matches_solve_ivp():
+    # Reference: ``reference_rhs`` integrated by an adaptive 8th-order
+    # solver over five drive periods, at every sample, Hermite midpoints
+    # included.  At phase 0.1 pi, Gq ~ 1.7e-12 shifts Omega~ by 1.5e-6.
+    for phase in (0.25, 0.1):
+        sys_n = fig2_sum_at_phase(phase)
+        p, drv = sys_n.params, sys_n.drive
+        wp0 = steady_means(p, drv.unmodulated())
+        period = 2 * math.pi / drv.mod_frequency
+        traj = integrate_means(p, drv, (0.0, 5 * period), period / 256,
+                               initial=wp0)
+        y = traj.y
+        ref = solve_ivp(reference_rhs(p, drv, wp0.bare_detuning),
+                        (0.0, 5 * period), y[0], method="DOP853",
+                        rtol=1e-12, atol=1e-12 * np.max(np.abs(y[0])),
+                        t_eval=traj.t).y.T
+        assert np.max(np.abs(y - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_drift_is_the_mean_field_jacobian():
+    # The fluctuation drift at a mean state is the Jacobian of the coherent
+    # equations there, in quadratures u = S y.  At phase 0.1 pi the Gq terms
+    # move Omega~_j by 1.5e-6 and G_ij by 1.5e-6 relative (2 Gq x_j against
+    # Gl); the bound is far below both.  The RHS is cubic in y and its cubic
+    # terms carry Gq, so a large difference step costs no accuracy.
+    sys_n = fig2_sum_at_phase(0.1)
+    p, drv = sys_n.params, sys_n.drive
     period = 2 * math.pi / drv.mod_frequency
-    traj = integrate_means(p, drv, (0.0, 5 * period), period / 256,
-                           initial=wp0)
-    y = traj.y
-    ref = solve_ivp(rhs, (0.0, 5 * period), y[0], method="DOP853",
-                    rtol=1e-12, atol=1e-12 * np.max(np.abs(y[0])),
-                    t_eval=traj.t).y.T
-    assert np.max(np.abs(y - ref)) <= 1e-8 * np.max(np.abs(ref))
+    point = integrate_means(p, drv, (0.0, period), period / 256)[77]
+    rhs = reference_rhs(p, drv, point.bare_detuning)
+    jac = np.empty((8, 8))
+    for k in range(8):
+        step = np.zeros(8)
+        step[k] = 0.1
+        jac[:, k] = (rhs(point.t, point.y + step)
+                     - rhs(point.t, point.y - step)) / 0.2
+    s = np.array([1.0] * 4 + [math.sqrt(2)] * 4)
+    drift = drift_samples(point, p)
+    assert np.max(np.abs(s[:, None] * jac / s[None, :] - drift)) \
+        < 1e-10 * np.max(np.abs(drift))
+
+
+def test_hermite_midpoints_are_fourth_order():
+    # Largest midpoint error against the step ends of a run with 8x the
+    # steps, which sit at every coarse and mid midpoint time.
+    sys_n = fig2_sum_at_phase(0.25)
+    p, drv = sys_n.params, sys_n.drive
+    period = 2 * math.pi / drv.mod_frequency
+    wp0 = steady_means(p, drv.unmodulated())
+
+    def run(n_steps):
+        return integrate_means(p, drv, (0.0, period), period / n_steps,
+                               initial=wp0).y
+
+    coarse, mid, fine = run(32), run(64), run(256)
+    ratio = (np.max(np.abs(coarse[1::2] - fine[8::16]))
+             / np.max(np.abs(mid[1::2] - fine[4::8])))
+    assert ratio >= 12.0
+
+
+def test_evolve_steps_the_means_once_per_covariance_step(fig2_sum_scenario,
+                                                         monkeypatch):
+    # N covariance steps read 2N + 1 drift samples: N RK4 steps of the
+    # means (4 RHS calls each) plus the final slope.
+    calls = 0
+    make_rhs = meanfield._scalar_rhs
+
+    def counting(params, bare):
+        rhs = make_rhs(params, bare)
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return rhs(*args)
+
+        return counted
+
+    monkeypatch.setattr(meanfield, "_scalar_rhs", counting)
+    result = pipeline.evolve(fig2_sum_scenario.system(), t_max_tau=2.0,
+                             steps_per_period=64, store_per_period=64)
+    n_steps = len(result.cov) - 1
+    assert n_steps == 256
+    assert calls == 4 * n_steps + 1
