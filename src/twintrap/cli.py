@@ -10,7 +10,8 @@ Verbs:
   long-format CSV ordered as the values appear in the file.
 * ``effective`` — adiabatically eliminated coupling constants J and the
   resonance advisor frequencies.
-* ``validate``  — schema check only.
+* ``validate``  — schema and physical invariants, as loading checks them;
+  no dynamics.
 
 Exit codes: 0 success, 2 invalid scenario/arguments, 3 unstable system,
 4 non-converged computation.
@@ -52,7 +53,7 @@ def _parser() -> argparse.ArgumentParser:
                       ("evolve", "time evolution under modulation"),
                       ("sweep", "steady-state scan along the sweep axis"),
                       ("effective", "reduced-model coupling constants"),
-                      ("validate", "schema check only")):
+                      ("validate", "schema and physical invariants")):
         cmd = cmds[verb] = sub.add_parser(verb, help=doc)
         cmd.add_argument("--scenario", required=True, type=Path,
                          help="scenario file (YAML)")

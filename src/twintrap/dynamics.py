@@ -312,19 +312,13 @@ class QuasiSteadyOrbit:
     period_change: float
 
 
-def quasi_steady_orbit(traj: CovTrajectory, omega_d: float) -> QuasiSteadyOrbit:
+def quasi_steady_orbit(traj: CovTrajectory, n_per: int) -> QuasiSteadyOrbit:
     """Final-period samples, flagged converged when the period-to-period
     relative covariance change falls below ``QUASI_STEADY_TOL``.
 
-    For an unmodulated run (``omega_d`` = 0) the final sample is compared
-    against the one a nominal period earlier.
+    ``n_per`` is the number of stored samples per drive period, so the
+    final period is the last ``n_per + 1`` samples.
     """
-    dt_store = traj.t[1] - traj.t[0] if len(traj) > 1 else 0.0
-    if omega_d > 0:
-        period = 2 * np.pi / omega_d
-    else:
-        period = max(dt_store, (traj.t[-1] - traj.t[0]) / 10)
-    n_per = max(1, int(round(period / dt_store))) if dt_store > 0 else 1
     if len(traj) < 2 * n_per + 1:
         return QuasiSteadyOrbit(traj.t, traj.v, False, np.inf)
     last = traj.v[-(n_per + 1):]

@@ -321,13 +321,14 @@ def phase_geometry(n: int, k_i: float, lambda_0: float) -> float:
 def derive_params(objects: tuple[ObjectSpec, ObjectSpec],
                   geom: CavityGeometry,
                   env: Environment,
-                  drive: DriveSpec) -> DerivedParams:
-    """Assemble every derived quantity, enforcing the trapping invariants."""
+                  trap_amplitude: float) -> DerivedParams:
+    """Assemble every derived quantity, enforcing the trapping invariants.
+    Of the drive only the trap amplitude E0 (rad/s) enters."""
     mass = np.array([derive_mass(o) for o in objects])
     kappa = np.array([cavity_linewidth(geom.finesse_eff[i], geom.length) for i in range(3)])
 
     # Trap mode driven on resonance: mean photon number (E0 / kappa0)^2.
-    trap_photons = (drive.trap_amplitude / kappa[0]) ** 2
+    trap_photons = (trap_amplitude / kappa[0]) ** 2
 
     g_bare = np.array([[bare_coupling(o, geom, i) for o in objects] for i in range(3)])
     k0 = geom.wavenumber(0)

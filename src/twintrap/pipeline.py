@@ -123,8 +123,9 @@ def evolve(system: System, t_max_tau: float,
     from the CW steady state.  The means and the covariance take the same
     RK4 step dt; the covariance stages read the drift on the means'
     half-step grid, whose midpoints are Hermite values, not RHS stages.
-    Storage is aligned to the drive period so the quasi-steady orbit can be
-    extracted exactly.
+    The period is the drive's, or tau for an unmodulated drive.  Storage is
+    aligned to it, so the quasi-steady orbit is exactly the last period of
+    stored samples.
     """
     scale = float(system.params.omega_mech[0])
     sys_n = system.rescaled(scale)
@@ -152,7 +153,7 @@ def evolve(system: System, t_max_tau: float,
     v0 = dynamics.lyapunov_steady(dynamics.drift_samples(wp0, p), d)
     traj = dynamics.evolve_covariance(v0, a_half, d, dt, store_stride=store_stride)
     del means, a_half   # free the half-step grids before the stacked analysis
-    orbit = dynamics.quasi_steady_orbit(traj, omega_d)
+    orbit = dynamics.quasi_steady_orbit(traj, steps_per_period // store_stride)
 
     block = gaussian.mechanical_block(traj.v)
     eta = gaussian.eta_min(block)

@@ -5,6 +5,9 @@ the drive, plus numerical settings for time evolution.  Units at this
 boundary are SI; drive strengths and frequencies may alternatively be given
 relative to the trap amplitude E0 and the mechanical frequencies, which is
 how the regression scenarios shipped in ``twintrap/scenarios`` are written.
+Loading derives the parameters once and resolves the relative units into
+one SI drive; ``Scenario.system`` overrides of the detuning or control
+fraction then change only that drive.
 
 Schema (``schema_version: 1``)::
 
@@ -35,7 +38,7 @@ Schema (``schema_version: 1``)::
       # or: modulation_frequency_rad_s
       detunings_omega1_units: [d1, d2]    # Delta_i = d_i Omega_1
       # or: detunings_rad_s
-    numerics:                # all optional
+    numerics:                # all optional, all positive
       t_max_tau: float       # evolution horizon, units of tau = 4 pi/(W1+W2)
       steps_per_period: int
       store_per_period: int
@@ -50,9 +53,8 @@ Unknown keys anywhere in the tree are rejected.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -86,74 +88,42 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated scenario, ready to instantiate ``System`` objects."""
+    """A fully validated scenario: the parameters derived once from the
+    objects, cavity and environment, and the drive resolved to SI units."""
 
     objects: tuple[model.ObjectSpec, model.ObjectSpec]
     geometry: model.CavityGeometry
     environment: model.Environment
-    trap_amplitude: float
-    control_amplitudes: tuple[float, float]
-    modulation_amplitudes: tuple[float, float]
-    # Relative drive frequencies; exactly one of each (relative, absolute)
-    # pair is set, the other is None.
-    mod_frequency_sum_units: float | None
-    mod_frequency_rad_s: float | None
-    detunings_omega1_units: tuple[float, float] | None
-    detunings_rad_s: tuple[float, float] | None
+    params: model.DerivedParams
+    drive: model.DriveSpec
     numerics: Numerics = Numerics()
     sweep: SweepSpec | None = None
 
     def system(self,
                detuning: float | None = None,
                control_fraction: float | None = None,
-               mod_frequency: float | None = None,
                recoil_scale: float | None = None,
                diffusion_high_t: bool = False) -> System:
         """Instantiate the dynamical system, optionally overriding one axis.
 
         Overrides use the relative units of the drive section: ``detuning``
         in units of Omega_1, ``control_fraction`` as a fraction of E0
-        (applied to both control modes), ``mod_frequency`` in units of
-        Omega_1 + Omega_2.
+        (applied to both control modes).  They change only the drive; a
+        ``recoil_scale`` override re-derives the parameters, which leaves
+        the trap frequencies, and so the SI drive, unchanged.
         """
-        objects = self.objects
+        params, drive = self.params, self.drive
         if recoil_scale is not None:
-            objects = tuple(dataclasses.replace(o, recoil_scale=recoil_scale)
-                            for o in objects)
-
-        e0 = self.trap_amplitude
-        cw = self.control_amplitudes
-        if control_fraction is not None:
-            cw = (control_fraction * e0, control_fraction * e0)
-
-        # ``derive_params`` reads only the trap amplitude of the drive, so a
-        # derivation with placeholder detunings is already the final one and
-        # fixes the Omega_j that the relative drive units refer to.
-        probe = model.DriveSpec(trap_amplitude=e0, cw_amplitudes=cw,
-                                detunings=(1.0, 1.0))
-        params = model.derive_params(objects, self.geometry,
-                                     self.environment, probe)
-        w1, w2 = params.omega_mech
-
+            objects = tuple(replace(o, recoil_scale=recoil_scale)
+                            for o in self.objects)
+            params = model.derive_params(objects, self.geometry,
+                                         self.environment, drive.trap_amplitude)
         if detuning is not None:
-            detunings = (detuning * w1, detuning * w1)
-        elif self.detunings_omega1_units is not None:
-            detunings = tuple(d * w1 for d in self.detunings_omega1_units)
-        else:
-            detunings = self.detunings_rad_s
-
-        if mod_frequency is not None:
-            omega_d = mod_frequency * (w1 + w2)
-        elif self.mod_frequency_sum_units is not None:
-            omega_d = self.mod_frequency_sum_units * (w1 + w2)
-        elif self.mod_frequency_rad_s is not None:
-            omega_d = self.mod_frequency_rad_s
-        else:
-            omega_d = 0.0
-
-        drive = model.DriveSpec(trap_amplitude=e0, cw_amplitudes=cw,
-                                mod_amplitudes=self.modulation_amplitudes,
-                                mod_frequency=omega_d, detunings=detunings)
+            d = detuning * params.omega_mech[0]
+            drive = replace(drive, detunings=(d, d))
+        if control_fraction is not None:
+            e = control_fraction * drive.trap_amplitude
+            drive = replace(drive, cw_amplitudes=(e, e))
         return System(params=params, drive=drive,
                       diffusion_high_t=diffusion_high_t)
 
@@ -255,6 +225,9 @@ def _parse_numerics(section: dict) -> Numerics:
         kwargs["steps_per_period"] = int(section["steps_per_period"])
     if "store_per_period" in section:
         kwargs["store_per_period"] = int(section["store_per_period"])
+    for key, value in kwargs.items():
+        if not value > 0:
+            raise ConfigError(f"numerics.{key} must be positive")
     return Numerics(**kwargs)
 
 
@@ -286,7 +259,7 @@ def parse_scenario(doc: dict) -> Scenario:
     entries = doc["objects"]
     if not isinstance(entries, list) or len(entries) not in (1, 2):
         raise ConfigError("objects must list one or two entries")
-    objs = [_parse_object(e, i) for i, e in enumerate(entries)]
+    objs = tuple(_parse_object(e, i) for i, e in enumerate(entries))
     if len(objs) == 1:
         objs = objs * 2
     geometry = _parse_cavity(doc["cavity"])
@@ -306,12 +279,15 @@ def parse_scenario(doc: dict) -> Scenario:
 
     trap_key = _one_of(drive, ("trap_input_power_w", "trap_amplitude_rad_s"),
                        "drive")
-    kappa0 = model.cavity_linewidth(geometry.finesse_eff[0], geometry.length)
+    e0 = float(drive[trap_key])
+    if e0 <= 0:
+        raise ConfigError("trap mode must be driven (zero trap power gives "
+                          "no trap)")
     if trap_key == "trap_input_power_w":
-        e0 = model.input_power_to_amplitude(float(drive[trap_key]), kappa0,
+        kappa0 = model.cavity_linewidth(geometry.finesse_eff[0],
+                                        geometry.length)
+        e0 = model.input_power_to_amplitude(e0, kappa0,
                                             geometry.trap_wavelength)
-    else:
-        e0 = float(drive[trap_key])
 
     cw_key = _one_of(drive, ("control_fractions", "control_amplitudes_rad_s"),
                      "drive")
@@ -332,17 +308,13 @@ def parse_scenario(doc: dict) -> Scenario:
         mod = _pair(drive["modulation_amplitudes_rad_s"],
                     "drive.modulation_amplitudes_rad_s")
 
-    mod_sum = mod_abs = None
+    freq_key, omega_d = None, 0.0
     if any(mod):
         freq_key = _one_of(drive, ("modulation_frequency_sum_units",
                                    "modulation_frequency_rad_s"), "drive")
-        freq = float(drive[freq_key])
-        if freq <= 0:
+        omega_d = float(drive[freq_key])
+        if omega_d <= 0:
             raise ConfigError("modulation frequency must be positive")
-        if freq_key == "modulation_frequency_sum_units":
-            mod_sum = freq
-        else:
-            mod_abs = freq
     elif ("modulation_frequency_sum_units" in drive or
           "modulation_frequency_rad_s" in drive):
         raise ConfigError("modulation frequency given without modulation "
@@ -351,18 +323,25 @@ def parse_scenario(doc: dict) -> Scenario:
     det_key = _one_of(drive, ("detunings_omega1_units", "detunings_rad_s"),
                       "drive")
     det = _pair(drive[det_key], f"drive.{det_key}")
-    det_rel = det if det_key == "detunings_omega1_units" else None
-    det_abs = det if det_key == "detunings_rad_s" else None
 
     numerics = _parse_numerics(doc.get("numerics") or {})
     sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
 
-    return Scenario(objects=tuple(objs), geometry=geometry,
-                    environment=environment, trap_amplitude=e0,
-                    control_amplitudes=cw, modulation_amplitudes=mod,
-                    mod_frequency_sum_units=mod_sum,
-                    mod_frequency_rad_s=mod_abs,
-                    detunings_omega1_units=det_rel, detunings_rad_s=det_abs,
+    # The schema holds; derive the parameters once.  They depend on the
+    # drive through the trap amplitude alone, and their trap frequencies
+    # Omega_j fix the relative drive units.
+    params = model.derive_params(objs, geometry, environment, e0)
+    w1, w2 = params.omega_mech
+    if freq_key == "modulation_frequency_sum_units":
+        omega_d *= w1 + w2
+    if det_key == "detunings_omega1_units":
+        det = (det[0] * w1, det[1] * w1)
+    return Scenario(objects=objs, geometry=geometry, environment=environment,
+                    params=params,
+                    drive=model.DriveSpec(trap_amplitude=e0, cw_amplitudes=cw,
+                                          mod_amplitudes=mod,
+                                          mod_frequency=omega_d,
+                                          detunings=det),
                     numerics=numerics, sweep=sweep)
 
 

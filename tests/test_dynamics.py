@@ -324,18 +324,18 @@ def test_quasi_steady_orbit_flags_convergence():
     a = random_stable_drift(rng, margin=2.0)
     d = random_psd(rng)
     v_inf = lyapunov_steady(a, d)
-    omega_d = 2 * math.pi / 1.0          # nominal period 1.0
+    n_per = 20                            # period 1.0 over stored 0.05
     n = 3200                              # 16 periods at dt = 0.005
     traj = evolve_covariance(v_inf, constant_half_grid(a, n), d, dt=0.005,
                              store_stride=10)
-    orbit = quasi_steady_orbit(traj, omega_d)
+    orbit = quasi_steady_orbit(traj, n_per)
     assert orbit.converged
     assert orbit.period_change < 1e-6
     # From an empty state the early transient is not converged over the
     # same horizon cut to two periods.
     short = evolve_covariance(np.zeros((8, 8)), constant_half_grid(a, 400),
                               d, dt=0.005, store_stride=10)
-    assert not quasi_steady_orbit(short, omega_d).converged
+    assert not quasi_steady_orbit(short, n_per).converged
 
 
 # ------------------------------------------------------- periodic orbit

@@ -51,10 +51,14 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def trap_amplitude(power=15e-3):
+    kappa = model.cavity_linewidth(7e5, 1e-3)
+    return model.input_power_to_amplitude(power, kappa, 1.064e-6)
+
+
 def table_drive(power=15e-3, cw=0.1, mod=0.0, mod_freq=0.0,
                 detunings=(1.0, 1.0)):
-    kappa = model.cavity_linewidth(7e5, 1e-3)
-    e0 = model.input_power_to_amplitude(power, kappa, 1.064e-6)
+    e0 = trap_amplitude(power)
     return DriveSpec(trap_amplitude=e0, cw_amplitudes=(cw * e0, cw * e0),
                      mod_amplitudes=(0.0, mod * e0), mod_frequency=mod_freq,
                      detunings=detunings)
@@ -102,7 +106,7 @@ def test_thermal_occupancy():
 
 @pytest.fixture(scope="module")
 def disk_params():
-    return model.derive_params((DISK, DISK), GEOM, ENV, table_drive())
+    return model.derive_params((DISK, DISK), GEOM, ENV, trap_amplitude())
 
 
 def test_trap_frequency_near_11mhz(disk_params):
@@ -127,9 +131,9 @@ def test_quadratic_coupling_vanishes_at_quarter_pi(disk_params):
 
 def test_recoil_rates(disk_params):
     assert rel(disk_params.recoil[0], GAMMA_DISK) < 1e-6
-    sphere_drive = table_drive(power=2.175454594614574e-4)
     # Sphere recoil is geometry-free: Gamma / Omega is a material constant.
-    p = model.derive_params((SPHERE, SPHERE), GEOM, ENV, sphere_drive)
+    p = model.derive_params((SPHERE, SPHERE), GEOM, ENV,
+                            trap_amplitude(2.175454594614574e-4))
     assert rel(p.recoil[0] / p.omega_mech[0],
                GAMMA_SPHERE_OVER_OMEGA) < 1e-12
 
@@ -137,7 +141,7 @@ def test_recoil_rates(disk_params):
 def test_recoil_scale_multiplies(disk_params):
     import dataclasses
     scaled = dataclasses.replace(DISK, recoil_scale=0.25)
-    p = model.derive_params((scaled, scaled), GEOM, ENV, table_drive())
+    p = model.derive_params((scaled, scaled), GEOM, ENV, trap_amplitude())
     assert rel(p.recoil[0], 0.25 * GAMMA_DISK) < 1e-6
 
 
@@ -229,8 +233,7 @@ def test_weak_trap_rejected():
     # A vanishing trap either gives no restoring force or breaks the
     # Lamb-Dicke expansion; both are configuration errors.
     with pytest.raises(ConfigError):
-        model.derive_params((DISK, DISK), GEOM, ENV,
-                            table_drive(power=1e-26))
+        model.derive_params((DISK, DISK), GEOM, ENV, trap_amplitude(1e-26))
 
 
 def test_calibrate_mode_waist_round_trip():

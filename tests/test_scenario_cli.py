@@ -102,10 +102,39 @@ def test_system_params_equal_derivation_with_final_drive(fig2_sum_scenario):
     sc = fig2_sum_scenario
     system = sc.system(detuning=0.7)
     expect = model.derive_params(sc.objects, sc.geometry, sc.environment,
-                                 system.drive)
+                                 system.drive.trap_amplitude)
     for f in dataclasses.fields(expect):
         assert np.array_equal(getattr(system.params, f.name),
                               getattr(expect, f.name)), f.name
+
+
+@pytest.mark.parametrize("axis,key", [
+    ("detuning", "detunings_omega1_units"),
+    ("control_fraction", "control_fractions"),
+])
+def test_override_equals_scenario_written_with_it(axis, key):
+    doc = base_doc()
+    overridden = parse_scenario(doc).system(**{axis: 0.7})
+    doc["drive"][key] = [0.7, 0.7]
+    assert overridden.drive == parse_scenario(doc).system().drive
+
+
+def test_si_drive_keys_match_relative_keys(fig2_sum_scenario):
+    sc = fig2_sum_scenario
+    with open(shipped_scenario("fig2_sum")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["drive"] = {
+        "trap_amplitude_rad_s": sc.drive.trap_amplitude,
+        "control_amplitudes_rad_s": list(sc.drive.cw_amplitudes),
+        "modulation_amplitudes_rad_s": list(sc.drive.mod_amplitudes),
+        "modulation_frequency_rad_s": sc.drive.mod_frequency,
+        "detunings_rad_s": list(sc.drive.detunings),
+    }
+    si = parse_scenario(doc)
+    assert si.drive == sc.drive
+    for f in dataclasses.fields(sc.params):
+        assert np.array_equal(getattr(si.params, f.name),
+                              getattr(sc.params, f.name)), f.name
 
 
 def test_rescaled_divides_exactly_the_declared_rates(fig1_scenario):
@@ -146,6 +175,35 @@ def test_validate_rejects_malformed(tmp_path, capsys):
     path = write_scenario(tmp_path, doc)
     assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_CONFIG
     assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,drive,message", [
+    ("fig2_sum", {"modulation_fractions": [0.0, 0.2]}, "below the CW"),
+    ("fig1_cw", {"trap_input_power_w": 1e-30}, "Lamb-Dicke"),
+    ("fig1_cw", {"trap_input_power_w": -1.0}, "trap mode must be driven"),
+], ids=["modulation_above_cw", "lamb_dicke", "negative_trap_power"])
+def test_validate_checks_physical_invariants(tmp_path, capsys, name, drive,
+                                             message):
+    with open(shipped_scenario(name)) as fh:
+        doc = yaml.safe_load(fh)
+    doc["drive"].update(drive)
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("steps_per_period", 0), ("store_per_period", 0),
+    ("steps_per_period", -64), ("t_max_tau", -5),
+])
+def test_non_positive_numerics_rejected(tmp_path, capsys, key, value):
+    with open(shipped_scenario("fig2_sum")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["numerics"][key] = value
+    path = write_scenario(tmp_path, doc)
+    for verb in ("validate", "evolve"):
+        assert cli.main([verb, "--scenario", str(path)]) == cli.EXIT_CONFIG
+        assert f"numerics.{key} must be positive" in capsys.readouterr().err
 
 
 def test_missing_file_is_config_error(tmp_path, capsys):
@@ -253,6 +311,21 @@ def test_sweep_keeps_unstable_rows_in_place(tmp_path, capsys):
                             rel_tol=1e-10)
 
 
+def test_sweep_derives_parameters_once(tmp_path, monkeypatch):
+    # Detuning overrides change only the drive, so the parameters derived
+    # at load serve every sweep point.
+    doc = base_doc()
+    doc["sweep"] = {"axis": "detuning", "values": [0.5, 0.8, 1.0, 1.2]}
+    path = write_scenario(tmp_path, doc)
+    calls = []
+    derive = model.derive_params
+    monkeypatch.setattr(model, "derive_params",
+                        lambda *args: calls.append(args) or derive(*args))
+    assert cli.main(["sweep", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len(calls) == 1
+
+
 def test_sweep_requires_sweep_section(tmp_path, capsys):
     doc = base_doc()
     del doc["sweep"]
@@ -271,12 +344,6 @@ def test_mod_frequency_sweep_axis_rejected(tmp_path, capsys, verb):
     path = write_scenario(tmp_path, doc)
     assert cli.main([verb, "--scenario", str(path)]) == cli.EXIT_CONFIG
     assert "evolve" in capsys.readouterr().err
-
-
-def test_mod_frequency_override_still_applies(fig2_sum_scenario):
-    w1, w2 = fig2_sum_scenario.system().params.omega_mech
-    system = fig2_sum_scenario.system(mod_frequency=0.5)
-    assert math.isclose(system.drive.mod_frequency, 0.5 * (w1 + w2))
 
 
 def test_effective_report_json(tmp_path):
