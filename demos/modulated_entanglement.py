@@ -10,7 +10,7 @@ efficiently.
 
 Each scenario runs to its own horizon (``numerics.t_max_tau``: 200 tau for
 the sum drive, 400 tau for the half drive, which builds up more slowly).
-Runtime: about 9 s for both runs (measured on a 2-vCPU x86-64 VM).
+Runtime: about 7 s for both runs (measured on a 2-vCPU x86-64 VM).
 """
 
 from twintrap import pipeline

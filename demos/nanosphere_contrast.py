@@ -12,7 +12,7 @@ temperature, adding 2 Gamma to its momentum diffusion.  With full recoil
 that heating keeps eta_min above 1/2; at 10% recoil the modulated drive
 squeezes the spheres just across the inseparability border.
 
-Runtime: about 6 s (measured on a 2-vCPU x86-64 VM).
+Runtime: about 4 s (measured on a 2-vCPU x86-64 VM).
 """
 
 from twintrap import pipeline

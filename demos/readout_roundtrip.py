@@ -9,7 +9,7 @@ its quasi-steady orbit, "measures" the mechanical state through the probe
 map, reconstructs it, and confirms that the inferred entanglement matches
 the true one.
 
-Runtime: about 3 s, dominated by the covariance evolution (measured on a
+Runtime: about 2 s, dominated by the mean-field integration (measured on a
 2-vCPU x86-64 VM).
 """
 

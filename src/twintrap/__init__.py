@@ -28,6 +28,7 @@ from .meanfield import (
 from .dynamics import (
     BlowupError,
     CovTrajectory,
+    DriftGrid,
     PeriodicOrbit,
     QuasiSteadyOrbit,
     StabilityReport,

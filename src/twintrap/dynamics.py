@@ -1,12 +1,19 @@
 """Drift/diffusion matrices, stability, Lyapunov solve, covariance evolution,
 and the periodic mean-field orbit of a modulated drive with its monodromy.
 
+The fluctuations have one propagator: each step dt of a time-varying drift
+is the affine map V -> P V P^T + Q of ``_step_maps``, with P the diagonal
+Pade exponential of the fourth-order Magnus exponent.  ``evolve_covariance``
+composes these maps per stored interval and ``monodromy`` multiplies their
+P; both build them in stacks, ``PROPAGATOR_CHUNK`` steps at a time.
+
 State ordering throughout: u = (x1, p1, x2, p2, X1, Y1, X2, Y2), mechanical
 quadratures first, then the two control-mode quadratures.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -28,6 +35,19 @@ LYAPUNOV_RTOL = 1e-10
 #: Kronecker sum (32 KiB at n = 8).  On 1500 drifts, chunks of 16 ran 25%
 #: slower, chunks of 256 no faster, and one whole stack took 90 MiB more.
 LYAPUNOV_CHUNK = 64
+
+#: Steps whose affine maps are built per stacked pass of the fluctuation
+#: propagator (whole stored intervals, at least one); each step holds about
+#: 8 KiB of scratch.  On 65 280 steps stored every 6th, chunks of 128 ran
+#: 13% slower, 1024 no faster with twice the scratch (7.6 MiB), and 4096
+#: 40% slower.
+PROPAGATOR_CHUNK = 512
+
+#: Bound ||M^-1||_1 ||N||_1 on a step map P = M^-1 N above which its Pade
+#: denominator M is ruled singular.  It is about 1 for any step short
+#: enough to be accurate, and grows without limit near the poles of the
+#: Pade exponential, where rounding in M would swamp the step.
+PADE_GAIN_MAX = 1e8
 
 #: Relative period-to-period covariance change below which an evolved
 #: trajectory counts as quasi-steady.
@@ -249,57 +269,186 @@ def drift_samples(traj: MeanTrajectory, params: DerivedParams) -> np.ndarray:
     return a
 
 
-def evolve_covariance(v0: np.ndarray, a_half: np.ndarray, d: np.ndarray,
+@dataclass(frozen=True)
+class DriftGrid:
+    """Read-only view of ``drift_samples(means, params)`` that assembles a
+    window's drift only when sliced, so the half-step grid of a long run is
+    never held whole; ``evolve_covariance`` and ``monodromy`` read it one
+    chunk at a time."""
+
+    means: MeanTrajectory
+    params: DerivedParams
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (len(self.means), 8, 8)
+
+    def __getitem__(self, index) -> np.ndarray:
+        return drift_samples(self.means[index], self.params)
+
+
+def _pade_inverse(m: np.ndarray, n: np.ndarray, first: int,
+                  dt: float) -> np.ndarray:
+    """Inverses of a stack of Pade denominators M, those of steps ``first``,
+    ``first + 1``, ..., whose numerators are N.
+
+    Raises ``ConvergenceError`` naming the first step whose M is singular:
+    ||M^-1||_1 ||N||_1, a bound on the step map P = M^-1 N, above
+    ``PADE_GAIN_MAX``.
+    """
+    try:
+        m_inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        # One by one; an exactly singular M keeps an infinite inverse.
+        m_inv = np.full_like(m, np.inf)
+        for k, mk in enumerate(m):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                m_inv[k] = np.linalg.inv(mk)
+    gain = (np.abs(m_inv).sum(axis=1).max(axis=1)
+            * np.abs(n).sum(axis=1).max(axis=1))
+    singular = ~(gain <= PADE_GAIN_MAX)
+    if singular.any():
+        k = int(singular.argmax())
+        raise ConvergenceError(
+            f"Pade denominator of step {first + k} (from t = "
+            f"{(first + k) * dt:.6e}) is singular: ||M^-1|| ||N|| = "
+            f"{gain[k]:.3e} above {PADE_GAIN_MAX:.0e}; the step is too long "
+            "for the drift", 1.0 / gain[k])
+    return m_inv
+
+
+def _rk4_noise(b_mid: np.ndarray, b_end: np.ndarray,
+               d: np.ndarray) -> np.ndarray:
+    """S of the RK4 step of V' = A V + V A^T + D from V = 0, which is
+    dt D + (dt/6)(S + S^T), given B_m = (dt/2) A_m and B_1 = dt A_1 (the
+    first stage does not read the drift)."""
+    m2 = b_mid @ d
+    m3 = b_mid @ (m2 + m2.swapaxes(1, 2) + d)
+    m4 = b_end @ (m3 + m3.swapaxes(1, 2) + d)
+    return 2.0 * (m2 + m3) + m4
+
+
+def _step_maps(a: np.ndarray, dt: float, d: np.ndarray | None = None,
+               first: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """Pade-Magnus affine maps V -> P V P^T + Q of consecutive steps dt.
+
+    ``a`` holds the steps' drift samples on the half-step grid (2m + 1 for
+    m steps, the first being step ``first``).  Per step, with A_0, A_m, A_1
+    its samples, Omega = (dt/6)(A_0 + 4 A_m + A_1) + (dt^2/12)[A_1, A_0] is
+    the fourth-order Magnus exponent and M, N = I -+ Omega/2 + Omega^2/12;
+    P = M^-1 N is its diagonal (2,2) Pade exponential.  Q is built only when
+    the diffusion ``d`` is given:
+    M^-1 (dt D + (dt/12) Omega D Omega^T) M^-T, which leaves the steady
+    covariance of a constant drift exactly stationary, plus
+    Q_RK4(A_0, A_m, A_1) - Q_RK4(A, A, A) with A = Omega/dt, which keeps Q
+    fourth order for a drift that varies.  A step with a non-finite drift
+    gets NaN maps.  Returns P (m, n, n) and Q (m, n, n) or None.
+    """
+    a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
+    omega = (dt / 6.0) * (a0 + 4.0 * am + a1) + (dt * dt / 12.0) * (a1 @ a0 - a0 @ a1)
+    finite = np.isfinite(omega).all(axis=(1, 2))
+    if not finite.all():
+        omega[~finite] = 0.0
+    half = 0.5 * omega
+    even = np.eye(a.shape[-1]) + (omega @ omega) / 12.0
+    numerator = even + half
+    m_inv = _pade_inverse(even - half, numerator, first, dt)
+    p = m_inv @ numerator
+    q = None
+    if d is not None:
+        x = dt * d + (dt / 12.0) * (omega @ d @ omega.swapaxes(1, 2))
+        x = m_inv @ x @ m_inv.swapaxes(1, 2)
+        # Q_RK4(A_0, A_m, A_1) - Q_RK4(A, A, A) = (dt/6)(E + E^T) with
+        # E = S - S^; adding (dt/3) E is the same once ``q`` is symmetrized.
+        x += (dt / 3.0) * (_rk4_noise(0.5 * dt * am, dt * a1, d)
+                           - _rk4_noise(half, omega, d))
+        q = 0.5 * (x + x.swapaxes(1, 2))
+        q[~finite] = np.nan
+    p[~finite] = np.nan
+    return p, q
+
+
+def _interval_maps(a_half, dt: float, stride: int, d: np.ndarray | None = None):
+    """Yield the maps (P, Q) of consecutive intervals of ``stride`` steps,
+    stacked per chunk of about ``PROPAGATOR_CHUNK`` steps; Q is None when
+    ``d`` is None.
+
+    ``a_half`` is sliced one chunk at a time, so a ``DriftGrid`` assembles
+    only that chunk's drift.  Steps past the last whole interval are not
+    taken.  Within an interval the step maps compose in order as
+    (P, Q) o (P', Q') = (P P', sym(P Q' P^T) + Q).
+    """
+    n = a_half.shape[-1]
+    n_intervals = (a_half.shape[0] - 1) // 2 // stride
+    per_chunk = max(1, PROPAGATOR_CHUNK // stride)
+    for i in range(0, n_intervals, per_chunk):
+        j = min(i + per_chunk, n_intervals)
+        a = np.asarray(a_half[2 * i * stride:2 * j * stride + 1], dtype=float)
+        p, q = _step_maps(a, dt, d, first=i * stride)
+        if stride > 1:
+            p = p.reshape(j - i, stride, n, n)
+            q = q.reshape(j - i, stride, n, n)
+            acc_p, acc_q = p[:, 0], q[:, 0]
+            for s in range(1, stride):
+                ps = p[:, s]
+                acc_p = ps @ acc_p
+                x = ps @ acc_q @ ps.swapaxes(1, 2)
+                acc_q = 0.5 * (x + x.swapaxes(1, 2)) + q[:, s]
+            p, q = acc_p, acc_q
+        yield p, q
+
+
+def _check_half_grid(a_half) -> None:
+    if len(a_half.shape) != 3 or a_half.shape[0] % 2 == 0:
+        raise ValueError("a_half must hold an odd number of drift samples")
+
+
+def evolve_covariance(v0: np.ndarray, a_half, d: np.ndarray,
                       dt: float, store_stride: int = 1) -> CovTrajectory:
-    """RK4 integration of V' = A(t) V + V A(t)^T + D for n x n matrices.
+    """Covariance of V' = A(t) V + V A(t)^T + D for n x n matrices, stored
+    every ``store_stride`` steps dt.
 
     ``a_half`` holds drift matrices on the half-step grid: 2N + 1 samples at
-    spacing dt/2 for N steps (``np.broadcast_to`` serves a constant drift),
-    so the RK4 stages see the exact drift without interpolation.  Each stage
-    is formed as M = A V, K = M + M^T + D (D symmetrized once), which is
-    exactly symmetric, so V stays exactly symmetric without
-    re-symmetrization.  A non-finite covariance, or one whose norm exceeds
-    1e6 x the initial norm, raises ``BlowupError``.
+    spacing dt/2 for N steps.  It may be an array (``np.broadcast_to``
+    serves a constant drift) or a ``DriftGrid``, which assembles the drift
+    of one chunk at a time.  Each step is the Pade-Magnus affine map of
+    ``_step_maps``; the maps of a stored interval are composed in stacks,
+    and one loop over the stored samples applies them as
+    V <- sym(P V P^T) + Q, so every stored V is exactly symmetric.  For a
+    constant drift the steady covariance is a fixed point to rounding.
+    A non-finite covariance, or one whose norm exceeds 1e6 x the initial
+    norm, raises ``BlowupError`` at the end of the stored interval in which
+    it first shows: the check runs at stored samples only, so its time is
+    known to ``store_stride`` steps.  Steps after the last stored sample
+    are not taken.  A singular Pade denominator raises ``ConvergenceError``
+    naming its step.
     """
-    if a_half.ndim != 3 or a_half.shape[0] % 2 == 0:
-        raise ValueError("a_half must hold an odd number of drift samples")
-    n_steps = (a_half.shape[0] - 1) // 2
+    _check_half_grid(a_half)
+    n_stored = (a_half.shape[0] - 1) // 2 // store_stride + 1
     v = np.asarray(v0, dtype=float)
     v = 0.5 * (v + v.T)
     d = np.asarray(d, dtype=float)
     d = 0.5 * (d + d.T)
-    # Squared Frobenius bound; ``not (s <= bound)`` also catches NaN.
     bound = (1e6 * max(float(np.linalg.norm(v)), 1.0)) ** 2
 
-    n_stored = n_steps // store_stride + 1
-    out_t = np.empty(n_stored)
+    out_t = np.arange(n_stored) * store_stride * dt
     out_v = np.empty((n_stored,) + v.shape)
-    out_t[0] = 0.0
     out_v[0] = v
-    stored = 1
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(n_steps):
-        a0 = a_half[2 * k]
-        am = a_half[2 * k + 1]
-        a1 = a_half[2 * k + 2]
-        m = a0 @ v
-        k1 = m + m.T + d
-        m = am @ (v + half * k1)
-        k2 = m + m.T + d
-        m = am @ (v + half * k2)
-        k3 = m + m.T + d
-        m = a1 @ (v + dt * k3)
-        k4 = m + m.T + d
-        v = v + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        flat = v.ravel()
-        if not flat @ flat <= bound:
-            raise BlowupError((k + 1) * dt)
-        if (k + 1) % store_stride == 0:
-            out_t[stored] = (k + 1) * dt
-            out_v[stored] = v
-            stored += 1
-    return CovTrajectory(t=out_t[:stored], v=out_v[:stored])
+    k = 1
+    # A diverging map may overflow; it shows as a non-finite covariance.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, q in _interval_maps(a_half, dt, store_stride, d):
+            first = k
+            for pk, qk in zip(p, q):
+                x = pk @ v @ pk.T
+                v = out_v[k] = 0.5 * (x + x.T) + qk
+                k += 1
+            # Squared Frobenius norms; ``not (s <= bound)`` also catches NaN.
+            chunk = out_v[first:k].reshape(k - first, -1)
+            over = ~(np.einsum("ij,ij->i", chunk, chunk) <= bound)
+            if over.any():
+                raise BlowupError(float(out_t[first + over.argmax()]))
+    return CovTrajectory(t=out_t, v=out_v)
 
 
 @dataclass(frozen=True)
@@ -329,24 +478,18 @@ def quasi_steady_orbit(traj: CovTrajectory, n_per: int) -> QuasiSteadyOrbit:
                             change < QUASI_STEADY_TOL, change)
 
 
-def monodromy(a_half: np.ndarray, dt: float) -> np.ndarray:
-    """Period map Phi of du/dt = A(t) u: RK4 on the half-step drift grid.
+def monodromy(a_half, dt: float) -> np.ndarray:
+    """Period map Phi of du/dt = A(t) u: the ordered product
+    P_{N-1} ... P_1 P_0 of the Pade-Magnus step maps of ``_step_maps``.
 
     ``a_half`` is laid out as for ``evolve_covariance`` (2N + 1 samples at
-    spacing dt/2 for N steps).
+    spacing dt/2 for N steps).  Only the P_k are built.
     """
-    if a_half.ndim != 3 or a_half.shape[0] % 2 == 0:
-        raise ValueError("a_half must hold an odd number of drift samples")
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    phi = np.eye(a_half.shape[1])
-    for k in range((a_half.shape[0] - 1) // 2):
-        a0, am, a1 = a_half[2 * k], a_half[2 * k + 1], a_half[2 * k + 2]
-        k1 = a0 @ phi
-        k2 = am @ (phi + half * k1)
-        k3 = am @ (phi + half * k2)
-        k4 = a1 @ (phi + dt * k3)
-        phi = phi + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    _check_half_grid(a_half)
+    phi = np.eye(a_half.shape[-1])
+    for p, _ in _interval_maps(a_half, dt, 1):
+        for pk in p:
+            phi = pk @ phi
     return phi
 
 
@@ -398,9 +541,10 @@ def periodic_orbit(params: DerivedParams, drive: DriveSpec,
 
     Solves y(0) = y(T) for the 8-float mean state on the period map of RK4
     steps dt (rounded so that whole steps span the period T); the returned
-    samples are ``integrate_means``' half-step grid, the drift grid of an
-    RK4 step dt of the fluctuations.  The Jacobian of the period map is the
-    monodromy of the linearized drift, which is the fluctuation drift.
+    samples are ``integrate_means``' half-step grid, the drift grid of a
+    step dt of the fluctuations.  The Newton Jacobian of the period map is
+    the ``monodromy`` of the linearized drift, which is the fluctuation
+    drift; it agrees with the RK4 map's Jacobian to the order of the step.
     The modulation amplitudes are continued from 0, where the CW fixed
     point is the orbit, to their full value: each step is tried whole and
     halved while Newton fails to converge within ``SHOOT_NEWTON_CAP``

@@ -173,8 +173,8 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
     """Fixed-step RK4 integration of the coherent dynamics, sampled at dt/2.
 
     Takes N RK4 steps of dt (rounded so that whole steps span ``t_span``)
-    and returns the half-step grid of 2N + 1 samples at spacing dt/2 that an
-    RK4 step dt of the fluctuations reads: even samples are the RK4 states,
+    and returns the half-step grid of 2N + 1 samples at spacing dt/2 that a
+    step dt of the fluctuations reads: even samples are the RK4 states,
     odd samples the cubic Hermite midpoints
     (y_k + y_{k+1}) / 2 + dt / 8 (f_k - f_{k+1}) built from the slopes at the
     step ends.  Those slopes are each step's first RK4 stage, so the grid

@@ -120,10 +120,13 @@ def evolve(system: System, t_max_tau: float,
     """Integrate the covariance under the (possibly modulated) drive.
 
     Runs for ``t_max_tau`` units of tau = 4 pi / (Omega1 + Omega2), starting
-    from the CW steady state.  The means and the covariance take the same
-    RK4 step dt; the covariance stages read the drift on the means'
-    half-step grid, whose midpoints are Hermite values, not RHS stages.
-    The period is the drive's, or tau for an unmodulated drive.  Storage is
+    from the CW steady state.  The means take RK4 steps dt and the
+    covariance takes Pade-Magnus steps of the same dt
+    (``dynamics.evolve_covariance``), which read the drift at the ends and
+    midpoint of each step on the means' half-step grid; the midpoints are
+    Hermite values, not RHS stages.  The drift is assembled one chunk of
+    steps at a time (``dynamics.DriftGrid``), never for the whole run.  The
+    period is the drive's, or tau for an unmodulated drive.  Storage is
     aligned to it, so the quasi-steady orbit is exactly the last period of
     stored samples.
     """
@@ -147,12 +150,12 @@ def evolve(system: System, t_max_tau: float,
     wp0 = meanfield.steady_means(p, drv.unmodulated())
     means = meanfield.integrate_means(p, drv, (0.0, n_steps * dt), dt,
                                       initial=wp0)
-    a_half = dynamics.drift_samples(means, p)
     d = dynamics.build_diffusion(p, high_t=sys_n.diffusion_high_t)
 
     v0 = dynamics.lyapunov_steady(dynamics.drift_samples(wp0, p), d)
-    traj = dynamics.evolve_covariance(v0, a_half, d, dt, store_stride=store_stride)
-    del means, a_half   # free the half-step grids before the stacked analysis
+    traj = dynamics.evolve_covariance(v0, dynamics.DriftGrid(means, p), d, dt,
+                                      store_stride=store_stride)
+    del means   # free the half-step grid before the stacked analysis
     orbit = dynamics.quasi_steady_orbit(traj, steps_per_period // store_stride)
 
     block = gaussian.mechanical_block(traj.v)

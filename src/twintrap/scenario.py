@@ -134,10 +134,26 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _number(value, where: str, whole: bool = False) -> float | int:
+    """``value`` as a float, or as an int when ``whole``; a value that is
+    not a finite number (or not a whole one) is a ``ConfigError``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, not {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number, not {value!r}")
+    if not whole:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be a whole number, not {value!r}")
+    return int(number)
+
+
 def _pair(value, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where} must be a pair")
-    return (float(value[0]), float(value[1]))
+    return (_number(value[0], where), _number(value[1], where))
 
 
 def _one_of(section: dict, keys: tuple[str, ...], where: str) -> str:
@@ -158,13 +174,13 @@ def _parse_object(entry: dict, index: int) -> model.ObjectSpec:
         kind = model.ObjectKind(entry.get("kind"))
     except ValueError:
         raise ConfigError(f"{where}: kind must be 'microdisk' or 'nanosphere'")
-    kwargs = {k: float(entry[k]) for k in
+    if "relative_permittivity" not in entry:
+        raise ConfigError(f"{where}.relative_permittivity is required")
+    kwargs = {k: _number(entry[k], f"{where}.{k}") for k in
               ("diameter", "thickness", "radius", "density", "mass",
-               "mechanical_quality", "recoil_scale") if k in entry}
-    return model.ObjectSpec(kind=kind,
-                            relative_permittivity=float(
-                                entry["relative_permittivity"]),
-                            **kwargs)
+               "mechanical_quality", "recoil_scale", "relative_permittivity")
+              if k in entry}
+    return model.ObjectSpec(kind=kind, **kwargs)
 
 
 def _parse_cavity(section: dict) -> model.CavityGeometry:
@@ -181,7 +197,8 @@ def _parse_cavity(section: dict) -> model.CavityGeometry:
         raise ConfigError("cavity.finesse_eff must list three values")
     kwargs = {}
     if "mode_waist" in section:
-        kwargs["mode_waist"] = float(section["mode_waist"])
+        kwargs["mode_waist"] = _number(section["mode_waist"],
+                                       "cavity.mode_waist")
     if "phases_over_pi" in section:
         rows = section["phases_over_pi"]
         if (not isinstance(rows, (list, tuple)) or len(rows) != 2):
@@ -193,14 +210,17 @@ def _parse_cavity(section: dict) -> model.CavityGeometry:
         base = _pair(section["phase_base_over_pi"], "cavity.phase_base_over_pi")
         kwargs["phase_base"] = (math.pi * base[0], math.pi * base[1])
     if "antinode_offsets" in section:
-        offs = section["antinode_offsets"]
-        kwargs["antinode_offsets"] = (int(offs[0]), int(offs[1]))
+        kwargs["antinode_offsets"] = tuple(
+            _number(o, "cavity.antinode_offsets", whole=True)
+            for o in _pair(section["antinode_offsets"],
+                           "cavity.antinode_offsets"))
     return model.CavityGeometry(
-        length=float(section["length"]),
-        trap_wavelength=float(section["trap_wavelength"]),
+        length=_number(section["length"], "cavity.length"),
+        trap_wavelength=_number(section["trap_wavelength"],
+                                "cavity.trap_wavelength"),
         control_wavelengths=_pair(section["control_wavelengths"],
                                   "cavity.control_wavelengths"),
-        finesse_eff=tuple(float(f) for f in finesse),
+        finesse_eff=tuple(_number(f, "cavity.finesse_eff") for f in finesse),
         **kwargs)
 
 
@@ -209,22 +229,19 @@ def _parse_environment(section: dict) -> model.Environment:
                   "environment")
     if "temperature" not in section:
         raise ConfigError("environment.temperature is required")
-    kwargs = {k: float(section[k]) for k in ("pressure", "air_molecular_mass")
+    kwargs = {k: _number(section[k], f"environment.{k}")
+              for k in ("temperature", "pressure", "air_molecular_mass")
               if k in section}
-    return model.Environment(temperature=float(section["temperature"]),
-                             **kwargs)
+    return model.Environment(**kwargs)
 
 
 def _parse_numerics(section: dict) -> Numerics:
     _require_keys(section, {"t_max_tau", "steps_per_period",
                             "store_per_period"}, "numerics")
-    kwargs = {}
-    if "t_max_tau" in section:
-        kwargs["t_max_tau"] = float(section["t_max_tau"])
-    if "steps_per_period" in section:
-        kwargs["steps_per_period"] = int(section["steps_per_period"])
-    if "store_per_period" in section:
-        kwargs["store_per_period"] = int(section["store_per_period"])
+    kwargs = {key: _number(section[key], f"numerics.{key}",
+                           whole=key != "t_max_tau")
+              for key in ("t_max_tau", "steps_per_period", "store_per_period")
+              if key in section}
     for key, value in kwargs.items():
         if not value > 0:
             raise ConfigError(f"numerics.{key} must be positive")
@@ -241,7 +258,8 @@ def _parse_sweep(section: dict) -> SweepSpec:
     values = section.get("values")
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError("sweep.values must be a non-empty list")
-    return SweepSpec(axis=axis, values=tuple(float(v) for v in values))
+    return SweepSpec(axis=axis,
+                     values=tuple(_number(v, "sweep.values") for v in values))
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -279,7 +297,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
     trap_key = _one_of(drive, ("trap_input_power_w", "trap_amplitude_rad_s"),
                        "drive")
-    e0 = float(drive[trap_key])
+    e0 = _number(drive[trap_key], f"drive.{trap_key}")
     if e0 <= 0:
         raise ConfigError("trap mode must be driven (zero trap power gives "
                           "no trap)")
@@ -312,7 +330,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if any(mod):
         freq_key = _one_of(drive, ("modulation_frequency_sum_units",
                                    "modulation_frequency_rad_s"), "drive")
-        omega_d = float(drive[freq_key])
+        omega_d = _number(drive[freq_key], f"drive.{freq_key}")
         if omega_d <= 0:
             raise ConfigError("modulation frequency must be positive")
     elif ("modulation_frequency_sum_units" in drive or

@@ -298,8 +298,93 @@ def test_blowup_detected_on_nan_drift():
     assert math.isclose(err.value.t, 0.21)
 
 
+def sinusoidal_half_grid(rng, n_steps, dt, omega=3.0):
+    """A stable drift modulated at ``omega``, on the half-step grid."""
+    base = random_stable_drift(rng, margin=1.0)
+    mod = rng.normal(size=(8, 8)) * 0.3
+    ts = 0.5 * dt * np.arange(2 * n_steps + 1)
+    return base[None] + mod[None] * np.sin(omega * ts)[:, None, None]
+
+
+def test_blowup_on_nan_drift_fires_at_end_of_stored_interval():
+    # The check runs at stored samples: step 21 (1-based, ending at 0.21)
+    # lies in the stored interval of steps 21-24, which ends at 0.24.
+    rng = np.random.default_rng(16)
+    a_half = constant_half_grid(random_stable_drift(rng), 50)
+    a_half[41, 2, 3] = np.nan
+    with pytest.raises(BlowupError) as err:
+        evolve_covariance(np.eye(8), a_half, np.eye(8), dt=0.01,
+                          store_stride=4)
+    assert math.isclose(err.value.t, 0.24)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-10], ids=["exact", "near"])
+def test_singular_pade_denominator_raises_and_names_step(offset):
+    # Omega = dt A with eigenvalues 3 +- i sqrt(3), the roots of
+    # 1 - z/2 + z^2/12, makes M = I - Omega/2 + Omega^2/12 singular; 1e-10
+    # off them M is about 3e-11 I, invertible but swamped by rounding.
+    dt = 0.5
+    block = np.array([[3.0 + offset, math.sqrt(3.0)],
+                      [-math.sqrt(3.0), 3.0 + offset]]) / dt
+    bad = np.kron(np.eye(4), block)
+    a_half = constant_half_grid(-np.eye(8), 6)
+    a_half[6:9] = bad                     # the samples of step 3 (0-based)
+    for run in (lambda: evolve_covariance(np.eye(8), a_half, np.eye(8), dt),
+                lambda: monodromy(a_half, dt)):
+        with pytest.raises(ConvergenceError, match="step 3 .* is singular"):
+            run()
+
+
+def test_intervals_compose_to_their_steps():
+    rng = np.random.default_rng(18)
+    dt = 0.01
+    a_half = sinusoidal_half_grid(rng, 300, dt)
+    d = random_psd(rng)
+    v0 = lyapunov_steady(a_half[0], d)
+    every = evolve_covariance(v0, a_half, d, dt)
+    stored = evolve_covariance(v0, a_half, d, dt, store_stride=7)
+    assert np.array_equal(stored.t, every.t[::7])
+    error = np.max(np.abs(stored.v - every.v[::7]))
+    assert error < 1e-13 * np.max(np.abs(every.v))
+
+
+def test_monodromy_is_the_ordered_product_of_step_maps():
+    rng = np.random.default_rng(19)
+    dt = 0.01
+    a_half = sinusoidal_half_grid(rng, 700, dt)   # two chunks of steps
+    p, q = dynamics._step_maps(a_half, dt)
+    assert q is None
+    phi = np.eye(8)
+    for pk in p:
+        phi = pk @ phi
+    assert np.array_equal(monodromy(a_half, dt), phi)
+
+
+def test_streamed_drift_matches_materialized_grid(fig2_sum_scenario,
+                                                  monkeypatch):
+    system = omega1_units(fig2_sum_scenario.system())
+    p, drv = system.params, system.drive
+    dt = 2 * math.pi / drv.mod_frequency / 64
+    wp0 = meanfield.steady_means(p, drv.unmodulated())
+    means = meanfield.integrate_means(p, drv, (0.0, 200 * dt), dt,
+                                      initial=wp0)
+    grid = dynamics.DriftGrid(means, p)
+    whole = drift_samples(means, p)
+    assert grid.shape == whole.shape
+    d = build_diffusion(p)
+    v0 = lyapunov_steady(drift_samples(wp0, p), d)
+    # Chunks of 18 steps (6 stored intervals) cut the run at many places.
+    monkeypatch.setattr(dynamics, "PROPAGATOR_CHUNK", 20)
+    streamed = evolve_covariance(v0, grid, d, dt, store_stride=3)
+    held = evolve_covariance(v0, whole, d, dt, store_stride=3)
+    assert np.array_equal(streamed.t, held.t)
+    assert np.array_equal(streamed.v, held.v)
+    assert np.array_equal(monodromy(grid, dt), monodromy(whole, dt))
+
+
 def test_fourth_order_convergence_sinusoidal_drift():
-    """Step-halving shrinks the global error ~16x for the RK4 scheme."""
+    """Step-halving shrinks the global error ~16x for the fourth-order
+    Pade-Magnus scheme."""
     rng = np.random.default_rng(14)
     base = random_stable_drift(rng, margin=1.0)
     mod = rng.normal(size=(8, 8)) * 0.3

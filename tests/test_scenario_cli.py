@@ -206,6 +206,31 @@ def test_non_positive_numerics_rejected(tmp_path, capsys, key, value):
         assert f"numerics.{key} must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,section,key,value,message", [
+    ("fig2_sum", "numerics", "t_max_tau", "long",
+     "numerics.t_max_tau must be a number, not 'long'"),
+    ("fig1_cw", "drive", "control_fractions", ["a", 0.1],
+     "drive.control_fractions must be a number, not 'a'"),
+    ("fig1_cw", "cavity", "antinode_offsets", 3,
+     "cavity.antinode_offsets must be a pair"),
+    ("fig2_sum", "numerics", "steps_per_period", 204.5,
+     "numerics.steps_per_period must be a whole number, not 204.5"),
+    ("fig2_sum", "numerics", "t_max_tau", math.inf,
+     "numerics.t_max_tau must be a finite number, not inf"),
+    ("fig1_cw", "environment", "temperature", math.inf,
+     "environment.temperature must be a finite number, not inf"),
+], ids=["word_horizon", "word_in_pair", "scalar_offsets", "fractional_steps",
+        "infinite_horizon", "infinite_temperature"])
+def test_malformed_scalars_are_config_errors(tmp_path, capsys, name, section,
+                                             key, value, message):
+    with open(shipped_scenario(name)) as fh:
+        doc = yaml.safe_load(fh)
+    doc[section][key] = value
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_missing_file_is_config_error(tmp_path, capsys):
     assert cli.main(["validate", "--scenario",
                      str(tmp_path / "nope.yaml")]) == cli.EXIT_CONFIG
