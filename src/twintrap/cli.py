@@ -23,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -60,20 +61,10 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", type=Path, default=None,
                          help="output directory (default: stdout)")
     # Each verb takes only the options it reads.
-    for verb in ("steady", "evolve", "sweep"):
-        cmds[verb].add_argument(
-            "--diffusion", choices=("exact", "high-t"), default="exact",
-            help="mechanical noise strength: exact Bose factor "
-                 "or high-temperature 2kT/(hbar W)")
     cmds["evolve"].add_argument("--format", choices=("csv", "report"),
                                 default="report",
                                 help="tabular CSV or structured JSON report")
     return parser
-
-
-def _system(scenario: Scenario, args, **overrides):
-    return scenario.system(diffusion_high_t=(args.diffusion == "high-t"),
-                           **overrides)
 
 
 def _emit(args, name: str, text: str) -> None:
@@ -108,40 +99,39 @@ def cmd_validate(scenario: Scenario, args) -> int:
 
 
 def cmd_steady(scenario: Scenario, args) -> int:
-    report, cov = pipeline.steady_state(_system(scenario, args))
+    report, cov = pipeline.steady_state(scenario.system())
     extra = {"covariance": cov.tolist()}
     _emit(args, "steady.json", _report_json(report, extra))
     return EXIT_OK
 
 
 def cmd_evolve(scenario: Scenario, args) -> int:
-    system = _system(scenario, args)
     num = scenario.numerics
-    result = pipeline.evolve(system, t_max_tau=num.t_max_tau,
+    result = pipeline.evolve(scenario.system(), t_max_tau=num.t_max_tau,
                              steps_per_period=num.steps_per_period,
                              store_per_period=num.store_per_period)
-    rows = zip(result.t_over_tau, result.eta_min, result.log_neg,
-               result.nbar1, result.nbar2)
-    series = _csv_text(SERIES_COLUMNS,
-                       ([f"{v:.12g}" for v in row] for row in rows))
+    rows = np.column_stack([result.t_over_tau, result.eta_min,
+                            result.log_neg, result.nbar1,
+                            result.nbar2]).tolist()
     final = slice(-len(result.orbit.t), None)
+    # A run shorter than two periods cannot measure the change between
+    # them; JSON has no infinity, so that change is written as null.
+    change = float(result.orbit.period_change)
     summary = {
         "tau_seconds": result.tau,
         "quasi_steady_converged": bool(result.orbit.converged),
-        "period_change": float(result.orbit.period_change),
+        "period_change": change if math.isfinite(change) else None,
         "eta_min_final_period": float(result.eta_min[final].min()),
         "log_neg_final_period": float(result.log_neg[final].max()),
     }
     if args.format == "csv":
-        _emit(args, "evolve.csv", series)
+        _emit(args, "evolve.csv", _csv_text(
+            SERIES_COLUMNS, ([f"{v:.12g}" for v in row] for row in rows)))
         if args.out is not None:
             _emit(args, "evolve_summary.json",
                   json.dumps(summary, indent=2, sort_keys=True))
     else:
-        summary["series"] = [dict(zip(SERIES_COLUMNS, map(float, row)))
-                             for row in zip(result.t_over_tau, result.eta_min,
-                                            result.log_neg, result.nbar1,
-                                            result.nbar2)]
+        summary["series"] = [dict(zip(SERIES_COLUMNS, row)) for row in rows]
         _emit(args, "evolve.json",
               json.dumps(summary, indent=2, sort_keys=True))
     if not result.orbit.converged:
@@ -156,7 +146,7 @@ def cmd_sweep(scenario: Scenario, args) -> int:
 
     values = scenario.sweep.values   # input order: deterministic output
     results = pipeline.steady_states(
-        [_system(scenario, args, **{axis: value}) for value in values])
+        [scenario.system(**{axis: value}) for value in values])
     rows = []
     any_unstable = False
     for value, result in zip(values, results):

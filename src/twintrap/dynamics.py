@@ -72,25 +72,17 @@ class BlowupError(RuntimeError):
         self.t = t
 
 
-def build_diffusion(params: DerivedParams, high_t: bool = False) -> np.ndarray:
+def build_diffusion(params: DerivedParams) -> np.ndarray:
     """Diagonal diffusion matrix of the noise correlations.
 
     The momentum entries are (2 n_th + 1) gamma + 2 Gamma: the thermal bath
-    enters through its damping gamma, photon recoil through its phonon
-    heating rate Gamma = dn/dt, which does not depend on the bath
-    temperature.  With vacuum variance 1/2, n + 1/2 = (<x^2> + <p^2>) / 2,
-    so a heating rate Gamma needs d<p^2>/dt = 2 Gamma.  ``high_t`` replaces
-    the exact Bose factor 2 n_th + 1 by its classical limit
-    2 kB T / (hbar Omega) (they differ below the percent level at the
-    shipped scenarios); the recoil term is unchanged.
+    enters through its damping gamma with the exact Bose factor, photon
+    recoil through its phonon heating rate Gamma = dn/dt, which does not
+    depend on the bath temperature.  With vacuum variance 1/2,
+    n + 1/2 = (<x^2> + <p^2>) / 2, so a heating rate Gamma needs
+    d<p^2>/dt = 2 Gamma.
     """
-    if high_t:
-        # 2 kB T / (hbar Omega), recovered from the occupancy via
-        # kB T / (hbar Omega) = 1 / ln(1 + 1/n_th).
-        mech = 2.0 / np.log1p(1.0 / params.n_thermal)
-    else:
-        mech = 2 * params.n_thermal + 1
-    d_pp = mech * params.gamma + 2 * params.recoil
+    d_pp = (2 * params.n_thermal + 1) * params.gamma + 2 * params.recoil
     kappa = params.kappa_control()
     return np.diag([0.0, d_pp[0], 0.0, d_pp[1],
                     kappa[0], kappa[0], kappa[1], kappa[1]])

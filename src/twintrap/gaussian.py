@@ -30,14 +30,12 @@ def mechanical_block(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=float)[..., :4, :4].copy()
 
 
-def partial_transpose(v: np.ndarray, party: int = 2) -> np.ndarray:
-    """Momentum sign flip of one mode of a two-mode covariance matrix."""
+def partial_transpose(v: np.ndarray) -> np.ndarray:
+    """Momentum sign flip of the second mode of a two-mode covariance matrix."""
     v = np.asarray(v, dtype=float)
     if v.shape[-2:] != (4, 4):
         raise ValueError("partial transpose acts on a two-mode (4x4) covariance")
-    if party not in (1, 2):
-        raise ValueError("party must be 1 or 2")
-    flip = np.diag([1.0, -1.0, 1.0, 1.0] if party == 1 else [1.0, 1.0, 1.0, -1.0])
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
     return flip @ v @ flip
 
 
@@ -118,16 +116,21 @@ class EntanglementReport:
         }
 
 
+def measures(v: np.ndarray) -> tuple:
+    """(eta_min, E_N, nbar1, nbar2) of an 8x8 (or mechanical 4x4) covariance
+    matrix; one array each, one entry per matrix, for a stack (B, n, n)."""
+    block = mechanical_block(v)
+    eta = eta_min(block)
+    return (eta, np.maximum(0.0, -np.log(2.0 * eta)),
+            phonon_occupation(block, 1), phonon_occupation(block, 2))
+
+
 def report_from_covariance(v: np.ndarray, stable: bool, t: float = 0.0
                            ) -> EntanglementReport | list[EntanglementReport]:
     """Full report from an 8x8 (or mechanical 4x4) covariance matrix; one
     report per matrix, in a list, for a stack (B, n, n)."""
-    block = mechanical_block(v)
-    eta = eta_min(block)
-    log_neg = np.maximum(0.0, -np.log(2.0 * eta))
-    nbar1 = phonon_occupation(block, 1)
-    nbar2 = phonon_occupation(block, 2)
-    if block.ndim == 2:
+    eta, log_neg, nbar1, nbar2 = measures(v)
+    if np.ndim(eta) == 0:
         return EntanglementReport(eta, float(log_neg), nbar1, nbar2, stable, t)
     return [EntanglementReport(*map(float, row), stable=stable, t=t)
             for row in zip(eta, log_neg, nbar1, nbar2)]

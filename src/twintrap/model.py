@@ -19,10 +19,10 @@ HBAR = 6.62607015e-34 / (2 * math.pi)
 KB = 1.380649e-23
 C_LIGHT = 299792458.0
 
-#: Cavity mode waist (m).  Calibrated once by root-finding so that a 15 mW
-#: trap laser yields a trap frequency of 2*pi*11 MHz for a 20 um x 150 nm
-#: silica microdisk (eps = 2.1, rho = 2201 kg/m^3) in a 1 mm cavity with
-#: F_eff = 7e5 at 1064 nm.  See ``calibrate_mode_waist``.
+#: Cavity mode waist (m).  Calibrated so that a 15 mW trap laser yields a
+#: trap frequency of 2*pi*11 MHz for a 20 um x 150 nm silica microdisk
+#: (eps = 2.1, rho = 2201 kg/m^3) in a 1 mm cavity with F_eff = 7e5 at
+#: 1064 nm.  See ``calibrate_mode_waist``.
 DEFAULT_MODE_WAIST = 1.4392837592990148e-05
 
 #: Hard limit on the Lamb-Dicke parameter k * x_zp.
@@ -377,28 +377,22 @@ def calibrate_mode_waist(obj: ObjectSpec,
                          trap_wavelength: float,
                          finesse_eff: float,
                          trap_power: float,
-                         target_omega: float,
-                         bracket: tuple[float, float] = (1e-6, 1e-3)) -> float:
+                         target_omega: float) -> float:
     """Waist for which ``trap_power`` yields the target trap frequency.
 
-    The trap frequency is monotone decreasing in the waist (larger mode
-    volume dilutes the intensity), so a bracketed root always exists for
-    sane inputs.
+    Closed form: g_0 is proportional to 1/V_c, so to 1/w0^2, and the trap
+    photon number does not depend on the waist, so
+    Omega = sqrt(2 hbar k0^2 g_0 n_0 / m) is proportional to 1/w0.  The
+    waist is the trap frequency of a 1 m waist over the target frequency.
     """
-    from scipy.optimize import brentq   # lazy: only calibration needs it
-
-    mass = derive_mass(obj)
-    k0 = 2 * math.pi / trap_wavelength
+    if target_omega <= 0:
+        raise ConfigError("target trap frequency must be positive")
+    # Only the trap mode matters; the control modes are placeholders.
+    unit = CavityGeometry(length, trap_wavelength, (trap_wavelength,) * 2,
+                          (finesse_eff,) * 3, mode_waist=1.0,
+                          phases=((0.0, 0.0), (0.0, 0.0)))
     kappa0 = cavity_linewidth(finesse_eff, length)
     e0 = input_power_to_amplitude(trap_power, kappa0, trap_wavelength)
-    photons = (e0 / kappa0) ** 2
-    omega0 = C_LIGHT * k0
-
-    def mismatch(waist: float) -> float:
-        vc = math.pi * waist**2 / 4 * length
-        g0 = obj.volume / (2 * vc) * (obj.relative_permittivity - 1) * omega0
-        if obj.kind is ObjectKind.NANOSPHERE:
-            g0 *= 3 / (obj.relative_permittivity + 2)
-        return trap_frequency(g0, k0, mass, photons) - target_omega
-
-    return brentq(mismatch, *bracket, xtol=1e-12, rtol=1e-15)
+    omega = trap_frequency(bare_coupling(obj, unit, 0), unit.wavenumber(0),
+                           derive_mass(obj), (e0 / kappa0) ** 2)
+    return omega / target_omega

@@ -23,11 +23,10 @@ STEPS_PER_CYCLE = 200
 
 @dataclass(frozen=True)
 class System:
-    """A derived parameter set with its drive and mechanical-noise convention."""
+    """A derived parameter set with its drive, in SI units."""
 
     params: DerivedParams
     drive: DriveSpec
-    diffusion_high_t: bool = False
 
     @property
     def tau(self) -> float:
@@ -76,8 +75,7 @@ def steady_states(systems: Sequence[System]) -> list:
             continue
         index.append(k)
         drifts.append(dynamics.drift_samples(wp, sys_n.params))
-        diffusions.append(dynamics.build_diffusion(
-            sys_n.params, high_t=sys_n.diffusion_high_t))
+        diffusions.append(dynamics.build_diffusion(sys_n.params))
     if not index:
         return out
     stability, v = dynamics.steady_covariance(np.array(drifts),
@@ -150,7 +148,7 @@ def evolve(system: System, t_max_tau: float,
     wp0 = meanfield.steady_means(p, drv.unmodulated())
     means = meanfield.integrate_means(p, drv, (0.0, n_steps * dt), dt,
                                       initial=wp0)
-    d = dynamics.build_diffusion(p, high_t=sys_n.diffusion_high_t)
+    d = dynamics.build_diffusion(p)
 
     v0 = dynamics.lyapunov_steady(dynamics.drift_samples(wp0, p), d)
     traj = dynamics.evolve_covariance(v0, dynamics.DriftGrid(means, p), d, dt,
@@ -158,11 +156,7 @@ def evolve(system: System, t_max_tau: float,
     del means   # free the half-step grid before the stacked analysis
     orbit = dynamics.quasi_steady_orbit(traj, steps_per_period // store_stride)
 
-    block = gaussian.mechanical_block(traj.v)
-    eta = gaussian.eta_min(block)
-    en = np.maximum(0.0, -np.log(2 * eta))
-    nb1 = gaussian.phonon_occupation(block, 1)
-    nb2 = gaussian.phonon_occupation(block, 2)
+    eta, en, nb1, nb2 = gaussian.measures(traj.v)
     return EvolveResult(
         t_over_tau=traj.t / tau, eta_min=eta, log_neg=en, nbar1=nb1, nbar2=nb2,
         cov=dynamics.CovTrajectory(t=traj.t / tau, v=traj.v),

@@ -102,8 +102,7 @@ class Scenario:
     def system(self,
                detuning: float | None = None,
                control_fraction: float | None = None,
-               recoil_scale: float | None = None,
-               diffusion_high_t: bool = False) -> System:
+               recoil_scale: float | None = None) -> System:
         """Instantiate the dynamical system, optionally overriding one axis.
 
         Overrides use the relative units of the drive section: ``detuning``
@@ -124,8 +123,7 @@ class Scenario:
         if control_fraction is not None:
             e = control_fraction * drive.trap_amplitude
             drive = replace(drive, cw_amplitudes=(e, e))
-        return System(params=params, drive=drive,
-                      diffusion_high_t=diffusion_high_t)
+        return System(params=params, drive=drive)
 
 
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:

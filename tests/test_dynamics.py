@@ -92,19 +92,6 @@ def test_diffusion_diagonal(fig1_scenario):
                        rtol=1e-12)
 
 
-def test_high_t_diffusion_close_below_exact(fig1_scenario):
-    # coth(x/2) = 2/x + x/6 + ... : the classical 2kT/(hbar W) prefactor
-    # sits just below the exact Bose factor, within a percent at
-    # 100 mK x 11 MHz.
-    p = fig1_scenario.system().params
-    exact = np.diag(build_diffusion(p))
-    classical = np.diag(build_diffusion(p, high_t=True))
-    assert classical[1] <= exact[1]
-    assert exact[1] / classical[1] - 1 < 1e-2
-    # Optical entries are unaffected by the choice.
-    assert np.allclose(classical[4:], exact[4:])
-
-
 # ----------------------------------------------------- stability verdicts
 
 def test_characteristic_polynomial_matches_numpy():

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,22 @@ def test_calibrate_mode_waist_round_trip():
     assert rel(waist, model.DEFAULT_MODE_WAIST) < 1e-6
 
 
+@pytest.mark.parametrize("obj", [DISK, SPHERE], ids=["disk", "sphere"])
+def test_calibrated_waist_gives_the_target_frequency(obj):
+    target = 2 * math.pi * 11e6
+    waist = model.calibrate_mode_waist(obj, 1e-3, 1.064e-6, 7e5, 15e-3, target)
+    params = model.derive_params((obj, obj), replace(GEOM, mode_waist=waist),
+                                 ENV, trap_amplitude())
+    assert rel(params.omega_mech[0], target) < 1e-12
+
+
+@pytest.mark.parametrize("target", [0.0, -2 * math.pi * 11e6],
+                         ids=["zero", "negative"])
+def test_calibrate_mode_waist_rejects_non_positive_target(target):
+    with pytest.raises(ConfigError, match="must be positive"):
+        model.calibrate_mode_waist(DISK, 1e-3, 1.064e-6, 7e5, 15e-3, target)
+
+
 # ------------------------------------------------------------ import cost
 
 def test_constants_equal_scipy_values():
@@ -251,15 +268,34 @@ def test_constants_equal_scipy_values():
     assert model.C_LIGHT == constants.c
 
 
-def test_import_leaves_heavy_scipy_modules_out():
-    # scipy.optimize is imported only when a mode waist is calibrated, the
-    # physical constants are literals and the Lyapunov solve is NumPy's.
-    code = ("import sys, twintrap; "
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy.optimize', 'scipy.constants', 'scipy.linalg'))))")
+def _run_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this
+    package from the same place as the tests do."""
     package_root = str(Path(model.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_heavy_scipy_modules_out():
+    # The package uses no SciPy at run time: the physical constants are
+    # literals, the mode waist has a closed form and the Lyapunov solve is
+    # NumPy's.
+    code = ("import sys, twintrap; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.optimize', 'scipy.constants', 'scipy.linalg'))))")
+    assert _run_python(code) == "[]"
+
+
+def test_runs_without_scipy():
+    # A None entry in sys.modules makes every ``import scipy`` fail.
+    code = ("import math, sys; sys.modules['scipy'] = None; "
+            "import twintrap; from twintrap import model; "
+            "print(model.calibrate_mode_waist(model.ObjectSpec("
+            "kind='microdisk', diameter=20e-6, thickness=150e-9, "
+            "relative_permittivity=2.1, density=2201.0), 1e-3, 1.064e-6, "
+            "7e5, 15e-3, 2 * math.pi * 11e6))")
+    waist = float(_run_python(code))
+    assert rel(waist, model.DEFAULT_MODE_WAIST) < 1e-6

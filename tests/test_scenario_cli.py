@@ -240,10 +240,9 @@ VERBS = ("validate", "steady", "evolve", "sweep", "effective")
 UNREAD_OPTIONS = [
     ("steady", ["--format", "csv"]),
     ("sweep", ["--format", "report"]),
-    ("validate", ["--diffusion", "high-t"]),
-    ("effective", ["--diffusion", "high-t"]),
     ("effective", ["--format", "csv"]),
-] + [(verb, ["--meanfield", "ode"]) for verb in VERBS]   # a deleted option
+] + [(verb, ["--meanfield", "ode"]) for verb in VERBS] \
+  + [(verb, ["--diffusion", "high-t"]) for verb in VERBS]   # deleted options
 
 
 @pytest.mark.parametrize("verb,option", UNREAD_OPTIONS,
@@ -294,6 +293,29 @@ def test_evolve_csv_unmodulated_is_flat(tmp_path):
     assert np.ptp(eta) < 1e-6
     report, _ = pipeline.steady_state(load_scenario(path).system())
     assert abs(eta[0] - report.eta_min) < 1e-6
+
+
+def _refuse_non_finite(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+@pytest.mark.parametrize("fmt,name", [("csv", "evolve_summary.json"),
+                                      ("report", "evolve.json")])
+def test_short_evolve_writes_strict_json(tmp_path, fmt, name):
+    # Half a tau is less than two drive periods: the period-to-period
+    # change cannot be measured, the orbit is not converged (exit 4), and
+    # the change is written as null, not as a bare Infinity.
+    with open(shipped_scenario("fig2_sum")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["numerics"]["t_max_tau"] = 0.5
+    path = write_scenario(tmp_path, doc)
+    code = cli.main(["evolve", "--scenario", str(path), "--format", fmt,
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_NOCONV
+    summary = json.loads((tmp_path / name).read_text(),
+                         parse_constant=_refuse_non_finite)
+    assert summary["period_change"] is None
+    assert summary["quasi_steady_converged"] is False
 
 
 def test_sweep_deterministic(tmp_path):
