@@ -179,14 +179,16 @@ def steady_covariance(a: np.ndarray, d: np.ndarray) -> tuple[StabilityReport, np
     a = a.reshape(-1, n, n)
     report = stability_check(a)
     index = np.flatnonzero(report.stable)
-    eye = np.eye(n)
+    diag = np.arange(n)
     v = np.empty((len(index), n, n))
     for start in range(0, len(index), LYAPUNOV_CHUNK):
         chunk = index[start:start + LYAPUNOV_CHUNK]
         ac, dc = a[chunk], d[chunk]
-        # Entry ((i, k), (j, l)) is A_ij delta_kl + delta_ij A_kl.
-        kron = (ac[:, :, None, :, None] * eye[None, None, :, None, :]
-                + eye[None, :, None, :, None] * ac[:, None, :, None, :])
+        # Entry ((i, k), (j, l)) is A_ij delta_kl + delta_ij A_kl: A is
+        # scattered into the blocks k = l, then added into the blocks i = j.
+        kron = np.zeros((len(chunk), n, n, n, n))
+        kron[:, :, diag, :, diag] = ac
+        kron[:, diag, :, diag, :] += ac
         vc = np.linalg.solve(kron.reshape(-1, n * n, n * n),
                              -dc.reshape(-1, n * n, 1)).reshape(-1, n, n)
         vc = 0.5 * (vc + vc.swapaxes(1, 2))
@@ -379,14 +381,17 @@ def _interval_maps(a_half, dt: float, stride: int, d: np.ndarray | None = None):
         p, q = _step_maps(a, dt, d, first=i * stride)
         if stride > 1:
             p = p.reshape(j - i, stride, n, n)
-            q = q.reshape(j - i, stride, n, n)
-            acc_p, acc_q = p[:, 0], q[:, 0]
+            if q is not None:
+                q = q.reshape(j - i, stride, n, n)
+                acc = q[:, 0]
+                for s in range(1, stride):
+                    x = p[:, s] @ acc @ p[:, s].swapaxes(1, 2)
+                    acc = 0.5 * (x + x.swapaxes(1, 2)) + q[:, s]
+                q = acc
+            acc = p[:, 0]
             for s in range(1, stride):
-                ps = p[:, s]
-                acc_p = ps @ acc_p
-                x = ps @ acc_q @ ps.swapaxes(1, 2)
-                acc_q = 0.5 * (x + x.swapaxes(1, 2)) + q[:, s]
-            p, q = acc_p, acc_q
+                acc = p[:, s] @ acc
+            p = acc
         yield p, q
 
 

@@ -31,6 +31,12 @@ class UnstableSystemError(RuntimeError):
     that does not confine (Omega~_j <= 0), a drift matrix with non-negative
     spectrum, or a periodic orbit whose monodromy has spectral radius >= 1."""
 
+    @classmethod
+    def unconfined(cls, omega_shifted) -> "UnstableSystemError":
+        """The error of a CW working point whose trap does not confine."""
+        return cls("no CW working point: the trap does not confine (shifted "
+                   f"trap frequencies Omega~ = {omega_shifted.tolist()})")
+
 
 @dataclass(frozen=True)
 class MeanTrajectory:
@@ -38,8 +44,11 @@ class MeanTrajectory:
 
     ``y`` holds the state (x1, p1, x2, p2, Re a1, Im a1, Re a2, Im a2):
     shape (n, 8) for a trajectory of n samples, (8,) for a working point at
-    one instant (``t`` 0-d).  ``traj[k]`` is the point at sample k and
-    ``traj[i:j]`` a window; both keep the bare detunings.
+    one instant (``t`` 0-d), and (B, 8) for a stack of B working points of
+    one parameter set, whose bare detunings are (B, 2) (``t`` 0-d).
+    ``traj[k]`` is the point at sample k of a trajectory and ``traj[i:j]``
+    a window; both keep the bare detunings.  A stack of working points is
+    not indexed.
     """
 
     t: np.ndarray
@@ -47,7 +56,7 @@ class MeanTrajectory:
     detuning: np.ndarray       # (..., 2) effective detunings Delta_i
     coupling: np.ndarray       # (..., 2, 2) complex effective couplings G_ij
     omega_shifted: np.ndarray  # (..., 2) Omega~_j
-    bare_detuning: np.ndarray  # (2,) the delta_i consistent with Delta_i
+    bare_detuning: np.ndarray  # (2,) or (B, 2): delta_i consistent with Delta_i
 
     @classmethod
     def from_state(cls, params: DerivedParams, t, y,
@@ -96,36 +105,55 @@ def _detuning(params: DerivedParams, bare: np.ndarray, x: np.ndarray) -> np.ndar
     return bare + x @ params.g_lin.T + (x**2) @ params.g_quad.T
 
 
-def steady_means(params: DerivedParams, drive: DriveSpec) -> MeanTrajectory:
-    """CW fixed point of the mean-field equations, in closed form.
+def cw_working_points(params: DerivedParams, cw_amplitudes,
+                      detunings) -> tuple[MeanTrajectory, np.ndarray]:
+    """CW fixed points of the mean-field equations for a stack of drives,
+    in closed form.
 
-    The drive specifies the *effective* detunings Delta_i, so the cavity
-    means a_i = E_i / (kappa_i + i Delta_i) and the photon numbers n_i are
-    fixed.  The force balance Omega_j x_j = -sum_i n_i (Gl_ij + 2 Gq_ij x_j)
-    is then linear in each x_j alone: x_j = -(n Gl)_j / Omega~_j with
+    ``cw_amplitudes`` E_i and ``detunings`` (the *effective* detunings
+    Delta_i) have shape (..., 2): (2,) for one drive, (B, 2) for B drives
+    of one parameter set.  Given Delta_i, the cavity means
+    a_i = E_i / (kappa_i + i Delta_i) and the photon numbers n_i are fixed.
+    The force balance Omega_j x_j = -sum_i n_i (Gl_ij + 2 Gq_ij x_j) is then
+    linear in each x_j alone: x_j = -(n Gl)_j / Omega~_j with
     Omega~ = Omega + 2 n Gq.  The bare detunings are back-computed
-    afterwards.  Returns the working point at t = 0; raises
-    ``UnstableSystemError`` when some Omega~_j <= 0, since the trap then
-    does not confine.
+    afterwards.  Returns the working points at t = 0 (y (..., 8), bare
+    detunings (..., 2)) and the mask (...) of those whose trap confines,
+    every Omega~_j > 0; the entries of a point that does not are not
+    meaningful.
     """
-    if any(e > 0 for e in drive.mod_amplitudes):
-        raise ValueError("steady_means requires a CW drive")
-    e_cw = np.asarray(drive.cw_amplitudes, dtype=float)
-    delta_eff = np.asarray(drive.detunings, dtype=float)
+    e_cw = np.asarray(cw_amplitudes, dtype=float)
+    delta_eff = np.asarray(detunings, dtype=float)
     kappa = params.kappa_control()
 
     a = e_cw / (kappa + 1j * delta_eff)
     n_phot = np.abs(a) ** 2
     omega_shifted = params.omega_mech + 2 * n_phot @ params.g_quad
-    if not np.all(omega_shifted > 0):
-        raise UnstableSystemError(
-            "no CW working point: the trap does not confine (shifted trap "
-            f"frequencies Omega~ = {omega_shifted.tolist()})")
-    x = -(n_phot @ params.g_lin) / omega_shifted
+    confining = np.all(omega_shifted > 0, axis=-1)
+    y = np.zeros(e_cw.shape[:-1] + (8,))
+    y[..., 4::2] = a.real
+    y[..., 5::2] = a.imag
+    # Omega~_j = 0 (an unconfined point) gives an infinite x_j.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = -(n_phot @ params.g_lin) / omega_shifted
+        y[..., 0:4:2] = x
+        bare = delta_eff - _detuning(params, 0.0, x)
+        return MeanTrajectory.from_state(params, 0.0, y, bare), confining
 
-    bare = delta_eff - _detuning(params, 0.0, x)
-    y = [x[0], 0.0, x[1], 0.0, a[0].real, a[0].imag, a[1].real, a[1].imag]
-    return MeanTrajectory.from_state(params, 0.0, y, bare)
+
+def steady_means(params: DerivedParams, drive: DriveSpec) -> MeanTrajectory:
+    """CW fixed point of one drive: the one-point case of
+    ``cw_working_points``.  Returns the working point at t = 0; raises
+    ``UnstableSystemError`` (naming Omega~) when some Omega~_j <= 0, since
+    the trap then does not confine.
+    """
+    if any(e > 0 for e in drive.mod_amplitudes):
+        raise ValueError("steady_means requires a CW drive")
+    wp, confining = cw_working_points(params, drive.cw_amplitudes,
+                                      drive.detunings)
+    if not confining:
+        raise UnstableSystemError.unconfined(wp.omega_shifted)
+    return wp
 
 
 def _scalar_rhs(params: DerivedParams, bare: np.ndarray):

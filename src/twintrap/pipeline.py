@@ -59,27 +59,40 @@ def timestep(system: System) -> float:
 def steady_states(systems: Sequence[System]) -> list:
     """CW steady states of many systems in one stacked pass, in input order.
 
-    Builds each system's working point, drift and diffusion, then runs one
-    stacked stability check, Lyapunov solve and Gaussian analysis.  Returns
-    one ``(EntanglementReport, covariance)`` per system, or the
+    The systems are grouped by their ``params`` object (the points of a
+    sweep share one).  Each group is rescaled once, its drives as arrays;
+    one ``meanfield.cw_working_points`` call gives its working points, one
+    ``drift_samples`` call their drifts, and one diffusion matrix serves
+    them all.  One stacked stability check, Lyapunov solve and Gaussian
+    analysis then cover every group.  Returns one
+    ``(EntanglementReport, covariance)`` per system, or the
     ``UnstableSystemError`` of a system that has no steady state.
     """
     out: list = [None] * len(systems)
-    index, drifts, diffusions = [], [], []
+    groups: dict[int, list[int]] = {}
     for k, system in enumerate(systems):
-        sys_n = system.rescaled(float(system.params.omega_mech[0]))
-        try:
-            wp = meanfield.steady_means(sys_n.params, sys_n.drive.unmodulated())
-        except meanfield.UnstableSystemError as exc:
-            out[k] = exc
-            continue
-        index.append(k)
-        drifts.append(dynamics.drift_samples(wp, sys_n.params))
-        diffusions.append(dynamics.build_diffusion(sys_n.params))
+        groups.setdefault(id(system.params), []).append(k)
+    index, drifts, diffusions = [], [], []
+    for members in groups.values():
+        first = systems[members[0]]
+        scale = float(first.params.omega_mech[0])
+        p = first.rescaled(scale).params
+        drives = [systems[k].drive for k in members]
+        wp, confining = meanfield.cw_working_points(
+            p, np.array([d.cw_amplitudes for d in drives]) / scale,
+            np.array([d.detunings for d in drives]) / scale)
+        for k, ok, omega in zip(members, confining, wp.omega_shifted):
+            if ok:
+                index.append(k)
+            else:
+                out[k] = meanfield.UnstableSystemError.unconfined(omega)
+        drifts.append(dynamics.drift_samples(wp, p)[confining])
+        diffusions.append(np.broadcast_to(dynamics.build_diffusion(p),
+                                          drifts[-1].shape))
     if not index:
         return out
-    stability, v = dynamics.steady_covariance(np.array(drifts),
-                                              np.array(diffusions))
+    stability, v = dynamics.steady_covariance(np.concatenate(drifts),
+                                              np.concatenate(diffusions))
     reports = gaussian.report_from_covariance(v, stable=True) if len(v) else []
     stable = iter(zip(reports, v))
     for k, ok, verdict, margin in zip(index, stability.stable,

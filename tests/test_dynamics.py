@@ -335,6 +335,25 @@ def test_intervals_compose_to_their_steps():
     assert error < 1e-13 * np.max(np.abs(every.v))
 
 
+def test_p_only_intervals_are_the_products_of_their_steps():
+    # Without a diffusion only P is composed, at any stride.
+    rng = np.random.default_rng(20)
+    dt = 0.01
+    a_half = sinusoidal_half_grid(rng, 700, dt)   # two chunks of intervals
+    steps = np.concatenate([p for p, _ in dynamics._interval_maps(a_half, dt, 1)])
+    intervals = list(dynamics._interval_maps(a_half, dt, 7))
+    assert all(q is None for _, q in intervals)
+    got = np.concatenate([p for p, _ in intervals])
+    want = np.empty_like(got)
+    for k in range(len(got)):
+        want[k] = np.eye(8)
+        for pk in steps[7 * k:7 * k + 7]:
+            want[k] = pk @ want[k]
+    assert len(got) == 100
+    scale = np.max(np.linalg.norm(want, axis=(1, 2)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 def test_monodromy_is_the_ordered_product_of_step_maps():
     rng = np.random.default_rng(19)
     dt = 0.01

@@ -133,6 +133,37 @@ def test_nonconfining_trap_raises_unstable(fig1_scenario, monkeypatch, capsys):
     assert "Omega~" in capsys.readouterr().err
 
 
+def test_stacked_steady_states_match_one_system_stacks(fig1_scenario,
+                                                       fig3_scenario):
+    # Two parameter sets interleaved, with a trap that does not confine and
+    # a blue-detuned unstable drift among them: one stacked call gives each
+    # system the steady state it gets alone, in input order.
+    fig1 = [fig1_scenario.system(detuning=d) for d in fig1_scenario.sweep.values]
+    base = fig1_scenario.system()
+    unconfined = dataclasses.replace(
+        base, params=nonconfining(base.params, base.drive))
+    blue = fig1_scenario.system(detuning=-1.0)
+    fig3 = [fig3_scenario.system(detuning=d) for d in (1.0, 1.5)]
+    systems = [fig3[0], *fig1[:6], unconfined, blue, *fig1[6:], fig3[1]]
+    stacked = pipeline.steady_states(systems)
+    assert len(stacked) == len(systems)
+    messages = []
+    for system, got in zip(systems, stacked):
+        try:
+            want_report, want_v = pipeline.steady_state(system)
+        except UnstableSystemError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            messages.append(str(got))
+            continue
+        got_report, got_v = got
+        np.testing.assert_allclose(dataclasses.astuple(got_report)[:4],
+                                   dataclasses.astuple(want_report)[:4],
+                                   rtol=1e-13, atol=0)
+        assert np.max(np.abs(got_v - want_v)) <= 1e-13 * np.max(np.abs(want_v))
+    assert len(messages) == 2
+    assert "Omega~" in messages[0] and "unstable" in messages[1]
+
+
 def assert_same_point(got, want):
     for field in dataclasses.fields(MeanTrajectory):
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from twintrap import cli, model, pipeline
+from twintrap import cli, meanfield, model, pipeline
 from twintrap.model import ConfigError
 from twintrap.scenario import (SCHEMA_VERSION, load_scenario, parse_scenario,
                                shipped_scenario)
@@ -29,6 +29,27 @@ def test_shipped_scenarios_load(name):
     scenario = load_scenario(shipped_scenario(name))
     system = scenario.system()
     assert system.params.omega_mech[0] > 0
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_scenarios_parse_alike_with_both_loaders(name):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    text = shipped_scenario(name).read_text()
+    assert (yaml.load(text, Loader=yaml.CSafeLoader)
+            == yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_yaml_syntax_error_exits_2(tmp_path, capsys):
+    # An unclosed flow sequence; the message names the line it opens on.
+    lines = shipped_scenario("fig1_cw").read_text().splitlines()
+    row = lines.index("  control_fractions: [0.1, 0.1]")
+    lines[row] = "  control_fractions: [0.1, 0.1"
+    path = tmp_path / "broken.yaml"
+    path.write_text("\n".join(lines))
+    assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "malformed scenario file" in err and f"line {row + 1}," in err
 
 
 def test_unknown_top_level_key_rejected():
@@ -371,6 +392,31 @@ def test_sweep_derives_parameters_once(tmp_path, monkeypatch):
     assert cli.main(["sweep", "--scenario", str(path),
                      "--out", str(tmp_path)]) == cli.EXIT_OK
     assert len(calls) == 1
+
+
+def test_sweep_stacks_each_parameter_set_once(tmp_path, monkeypatch):
+    # The steady path rescales the parameters and solves the working points
+    # once per parameter set, not once per sweep point.
+    doc = base_doc()
+    doc["sweep"] = {"axis": "detuning", "values": [0.5, 0.8, 1.0, 1.2]}
+    path = write_scenario(tmp_path, doc)
+    calls = {"rescaled": 0, "cw_working_points": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline.System, "rescaled",
+                        counted("rescaled", pipeline.System.rescaled))
+    monkeypatch.setattr(meanfield, "cw_working_points",
+                        counted("cw_working_points",
+                                meanfield.cw_working_points))
+    assert cli.main(["sweep", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 5
+    assert calls["rescaled"] <= 1 and calls["cw_working_points"] == 1
 
 
 def test_sweep_requires_sweep_section(tmp_path, capsys):
