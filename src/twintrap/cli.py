@@ -2,12 +2,14 @@
 
 Verbs:
 
-* ``steady``    — CW steady state: entanglement report and covariance dump.
+* ``steady``    — CW steady state: entanglement report and covariance dump;
+  a modulated drive is refused (exit 2), since ``evolve`` gives its state.
 * ``evolve``    — time evolution under modulated driving; CSV time series
   with columns ``t_over_tau, eta_min, E_N, nbar1, nbar2`` plus a
   quasi-steady summary report.
 * ``sweep``     — steady-state scan along the scenario's sweep axis;
-  long-format CSV ordered as the values appear in the file.
+  long-format CSV ordered as the values appear in the file.  Refuses a
+  modulated drive as ``steady`` does.
 * ``effective`` — adiabatically eliminated coupling constants J and the
   resonance advisor frequencies.
 * ``validate``  — schema and physical invariants, as loading checks them;

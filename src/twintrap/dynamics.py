@@ -65,7 +65,8 @@ _QUADRATURES = np.array([1.0, 1.0, 1.0, 1.0, SQRT2, SQRT2, SQRT2, SQRT2])
 
 
 class BlowupError(RuntimeError):
-    """Covariance norm exploded during integration."""
+    """Covariance norm exploded during integration; ``t`` is in the time
+    unit of the step, seconds from ``pipeline.evolve``."""
 
     def __init__(self, t: float):
         super().__init__(f"covariance blow-up at t = {t:.6e}")
@@ -162,7 +163,9 @@ def stability_check(a: np.ndarray) -> StabilityReport:
     return StabilityReport(verdict, -max_re)
 
 
-def steady_covariance(a: np.ndarray, d: np.ndarray) -> tuple[StabilityReport, np.ndarray]:
+def steady_covariance(a: np.ndarray, d: np.ndarray,
+                      labels: list[int] | None = None
+                      ) -> tuple[StabilityReport, np.ndarray]:
     """Stability verdicts of drifts (..., n, n), taken as a flat stack
     (B, n, n), and the steady covariances of the stable ones, in order.
 
@@ -171,7 +174,8 @@ def steady_covariance(a: np.ndarray, d: np.ndarray) -> tuple[StabilityReport, np
     n^2 x n^2 Kronecker sum per matrix, ``LYAPUNOV_CHUNK`` matrices at a
     time.  ``d`` is one diffusion matrix or a stack of them.  Every
     solution must meet the relative residual bound ``LYAPUNOV_RTOL``, or
-    ``ConvergenceError`` names the first matrix of the stack that misses it.
+    ``ConvergenceError`` names the first matrix that misses it: by its
+    position in the stack, or by that position's entry of ``labels``.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
@@ -197,11 +201,12 @@ def steady_covariance(a: np.ndarray, d: np.ndarray) -> tuple[StabilityReport, np
                     / np.linalg.norm(dc, axis=(1, 2)))
         missed = ~(residual <= LYAPUNOV_RTOL)
         if missed.any():
-            k = int(missed.argmax())
+            j = int(missed.argmax())
+            name = chunk[j] if labels is None else labels[chunk[j]]
             raise ConvergenceError(
-                f"Lyapunov residual {residual[k]:.3e} above bound "
-                f"{LYAPUNOV_RTOL:.0e} (matrix {chunk[k]} of the stack)",
-                float(residual[k]))
+                f"Lyapunov residual {residual[j]:.3e} above bound "
+                f"{LYAPUNOV_RTOL:.0e} (matrix {name} of the stack)",
+                float(residual[j]))
         v[start:start + len(chunk)] = vc
     return report, v
 
@@ -286,7 +291,8 @@ def _pade_inverse(m: np.ndarray, n: np.ndarray, first: int,
     """Inverses of a stack of Pade denominators M, those of steps ``first``,
     ``first + 1``, ..., whose numerators are N.
 
-    Raises ``ConvergenceError`` naming the first step whose M is singular:
+    Raises ``ConvergenceError`` naming the first step whose M is singular,
+    and its start time in the unit of ``dt`` (seconds from ``pipeline``):
     ||M^-1||_1 ||N||_1, a bound on the step map P = M^-1 N, above
     ``PADE_GAIN_MAX``.
     """

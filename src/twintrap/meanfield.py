@@ -69,7 +69,8 @@ class MeanTrajectory:
         a = y[..., 4::2] + 1j * y[..., 5::2]
         detuning = _detuning(params, bare_detuning, x)
         coupling = a[..., :, None] * (params.g_lin + 2 * params.g_quad * x[..., None, :])
-        omega_shifted = params.omega_mech + 2 * (np.abs(a) ** 2) @ params.g_quad
+        omega_shifted = params.omega_mech + 2 * _vecmat(np.abs(a) ** 2,
+                                                         params.g_quad)
         return cls(t, y, detuning, coupling, omega_shifted, bare_detuning)
 
     @property
@@ -97,12 +98,19 @@ class MeanTrajectory:
             self.omega_shifted[idx], self.bare_detuning)
 
 
+def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v @ m for vectors v (..., 2) and a 2 x 2 matrix m, summed term by
+    term: BLAS rounds a stack of products differently from one product, and
+    a point of a stack must match its one-point solve bit for bit."""
+    return v[..., 0, None] * m[0] + v[..., 1, None] * m[1]
+
+
 def _detuning(params: DerivedParams, bare: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Delta_i from the bare detunings and the mean positions, shape (2,) or (n, 2).
 
     With ``bare`` = 0 this is the displacement shift Delta_i - delta_i.
     """
-    return bare + x @ params.g_lin.T + (x**2) @ params.g_quad.T
+    return bare + _vecmat(x, params.g_lin.T) + _vecmat(x**2, params.g_quad.T)
 
 
 def cw_working_points(params: DerivedParams, cw_amplitudes,
@@ -128,14 +136,14 @@ def cw_working_points(params: DerivedParams, cw_amplitudes,
 
     a = e_cw / (kappa + 1j * delta_eff)
     n_phot = np.abs(a) ** 2
-    omega_shifted = params.omega_mech + 2 * n_phot @ params.g_quad
+    omega_shifted = params.omega_mech + 2 * _vecmat(n_phot, params.g_quad)
     confining = np.all(omega_shifted > 0, axis=-1)
     y = np.zeros(e_cw.shape[:-1] + (8,))
     y[..., 4::2] = a.real
     y[..., 5::2] = a.imag
     # Omega~_j = 0 (an unconfined point) gives an infinite x_j.
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = -(n_phot @ params.g_lin) / omega_shifted
+        x = -_vecmat(n_phot, params.g_lin) / omega_shifted
         y[..., 0:4:2] = x
         bare = delta_eff - _detuning(params, 0.0, x)
         return MeanTrajectory.from_state(params, 0.0, y, bare), confining

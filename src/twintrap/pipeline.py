@@ -1,21 +1,21 @@
 """High-level drivers tying model -> meanfield -> dynamics -> gaussian.
 
-Scenario inputs are SI; internally time is rescaled so that Omega_1 = 1,
-which keeps every rate within a few decades of unity, and results are
-converted back on output.  The natural time unit for reporting is
-tau = 4 pi / (Omega_1 + Omega_2).
+Every quantity is SI: rates in rad/s, times in seconds.  The solvers'
+tolerances are relative or act on the dimensionless mean state and
+covariance, so no internal time unit is needed.  The reporting unit of time
+is tau = 4 pi / (Omega_1 + Omega_2).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, effective, gaussian, meanfield
-from .model import DerivedParams, DriveSpec
+from .model import ConfigError, DerivedParams, DriveSpec
 
 #: Steps per cycle of the fastest rate in the drift (fixed-step rule).
 STEPS_PER_CYCLE = 200
@@ -32,21 +32,6 @@ class System:
     def tau(self) -> float:
         return 4 * math.pi / float(self.params.omega_mech.sum())
 
-    def rescaled(self, scale: float) -> "System":
-        """All rates divided by ``scale`` (time measured in 1/scale units)."""
-        p = self.params
-        params = replace(p, **{f.name: getattr(p, f.name) / scale
-                               for f in fields(p) if f.metadata.get("rate")})
-        drive = replace(
-            self.drive,
-            trap_amplitude=self.drive.trap_amplitude / scale,
-            cw_amplitudes=tuple(e / scale for e in self.drive.cw_amplitudes),
-            mod_amplitudes=tuple(e / scale for e in self.drive.mod_amplitudes),
-            mod_frequency=self.drive.mod_frequency / scale,
-            detunings=tuple(d / scale for d in self.drive.detunings),
-        )
-        return replace(self, params=params, drive=drive)
-
 
 def timestep(system: System) -> float:
     """dt <= 2 pi / (200 max(Omega, Delta, kappa, w_D)), in SI seconds."""
@@ -60,27 +45,30 @@ def steady_states(systems: Sequence[System]) -> list:
     """CW steady states of many systems in one stacked pass, in input order.
 
     The systems are grouped by their ``params`` object (the points of a
-    sweep share one).  Each group is rescaled once, its drives as arrays;
-    one ``meanfield.cw_working_points`` call gives its working points, one
-    ``drift_samples`` call their drifts, and one diffusion matrix serves
-    them all.  One stacked stability check, Lyapunov solve and Gaussian
-    analysis then cover every group.  Returns one
-    ``(EntanglementReport, covariance)`` per system, or the
-    ``UnstableSystemError`` of a system that has no steady state.
+    sweep share one).  One ``meanfield.cw_working_points`` call per group
+    gives its working points, one ``drift_samples`` call their drifts, and
+    one diffusion matrix serves them all.  One stacked stability check,
+    Lyapunov solve and Gaussian analysis then cover every group.  Returns
+    one ``(EntanglementReport, covariance)`` per system, or the
+    ``UnstableSystemError`` of a system that has no steady state.  A
+    modulated drive has no CW steady state; it raises ``ConfigError``.
+    A Lyapunov solve that misses its bound raises ``ConvergenceError``
+    naming the system by its input position.
     """
+    if any(any(e > 0 for e in s.drive.mod_amplitudes) for s in systems):
+        raise ConfigError("the drive is modulated and has no CW steady "
+                          "state; run evolve for its long-time state")
     out: list = [None] * len(systems)
     groups: dict[int, list[int]] = {}
     for k, system in enumerate(systems):
         groups.setdefault(id(system.params), []).append(k)
     index, drifts, diffusions = [], [], []
     for members in groups.values():
-        first = systems[members[0]]
-        scale = float(first.params.omega_mech[0])
-        p = first.rescaled(scale).params
+        p = systems[members[0]].params
         drives = [systems[k].drive for k in members]
         wp, confining = meanfield.cw_working_points(
-            p, np.array([d.cw_amplitudes for d in drives]) / scale,
-            np.array([d.detunings for d in drives]) / scale)
+            p, np.array([d.cw_amplitudes for d in drives]),
+            np.array([d.detunings for d in drives]))
         for k, ok, omega in zip(members, confining, wp.omega_shifted):
             if ok:
                 index.append(k)
@@ -91,8 +79,8 @@ def steady_states(systems: Sequence[System]) -> list:
                                           drifts[-1].shape))
     if not index:
         return out
-    stability, v = dynamics.steady_covariance(np.concatenate(drifts),
-                                              np.concatenate(diffusions))
+    stability, v = dynamics.steady_covariance(
+        np.concatenate(drifts), np.concatenate(diffusions), labels=index)
     reports = gaussian.report_from_covariance(v, stable=True) if len(v) else []
     stable = iter(zip(reports, v))
     for k, ok, verdict, margin in zip(index, stability.stable,
@@ -121,8 +109,8 @@ class EvolveResult:
     nbar1: np.ndarray
     nbar2: np.ndarray
     cov: dynamics.CovTrajectory      # times in tau units
-    orbit: dynamics.QuasiSteadyOrbit
-    tau: float
+    orbit: dynamics.QuasiSteadyOrbit  # times in s
+    tau: float                       # s
 
 
 def evolve(system: System, t_max_tau: float,
@@ -141,15 +129,13 @@ def evolve(system: System, t_max_tau: float,
     aligned to it, so the quasi-steady orbit is exactly the last period of
     stored samples.
     """
-    scale = float(system.params.omega_mech[0])
-    sys_n = system.rescaled(scale)
-    p, drv = sys_n.params, sys_n.drive
-    tau = sys_n.tau
+    p, drv = system.params, system.drive
+    tau = system.tau
 
     omega_d = drv.mod_frequency
     period = 2 * math.pi / omega_d if omega_d > 0 else tau
     if steps_per_period is None:
-        steps_per_period = max(16, int(math.ceil(period / timestep(sys_n))))
+        steps_per_period = max(16, int(math.ceil(period / timestep(system))))
     # Keep the store grid commensurate with the drive period.
     store_stride = max(1, steps_per_period // store_per_period)
     steps_per_period = store_stride * int(math.ceil(steps_per_period / store_stride))
@@ -173,7 +159,7 @@ def evolve(system: System, t_max_tau: float,
     return EvolveResult(
         t_over_tau=traj.t / tau, eta_min=eta, log_neg=en, nbar1=nb1, nbar2=nb2,
         cov=dynamics.CovTrajectory(t=traj.t / tau, v=traj.v),
-        orbit=orbit, tau=tau / scale,
+        orbit=orbit, tau=tau,
     )
 
 
@@ -193,16 +179,13 @@ class EffectiveReport:
 
 def effective_report(system: System) -> EffectiveReport:
     """J harmonics over the periodic mean-field orbit plus advisor output."""
-    scale = float(system.params.omega_mech[0])
-    sys_n = system.rescaled(scale)
-    p, drv = sys_n.params, sys_n.drive
-
+    p, drv = system.params, system.drive
     wp = meanfield.steady_means(p, drv.unmodulated())
     omega_d = drv.mod_frequency
 
     if omega_d > 0:
         period = 2 * math.pi / omega_d
-        n_steps = int(math.ceil(period / min(timestep(sys_n), period / 256)))
+        n_steps = int(math.ceil(period / min(timestep(system), period / 256)))
         orbit = dynamics.periodic_orbit(p, drv, period / n_steps).means
         harm = effective.modulation_harmonics(
             orbit.t, effective.effective_J_series(orbit, p), omega_d)
@@ -214,10 +197,10 @@ def effective_report(system: System) -> EffectiveReport:
     advisor = effective.resonance_advisor(*wp.omega_shifted)
     tags = effective.rwa_classify(wp.omega_shifted[0], wp.omega_shifted[1], omega_d)
     return EffectiveReport(
-        j_dc=harm.dc * scale, j_first=harm.first * scale, j_second=harm.second * scale,
+        j_dc=harm.dc, j_first=harm.first, j_second=harm.second,
         harmonic_residual=harm.residual,
-        omega_sum=advisor["omega_sum"] * scale,
-        omega_half=advisor["omega_half"] * scale,
+        omega_sum=advisor["omega_sum"],
+        omega_half=advisor["omega_half"],
         weak_coupling=effective.weak_coupling_ok(wp, p),
         process_tags=tags,
     )

@@ -153,31 +153,31 @@ def test_acceptance_07_physicality(fig1_steady, fig2_sum_run, fig2_half_run,
 def _weak_system():
     """Fig.-2 scenario with control drives scaled so max |G| = 0.1 kappa."""
     system = load_scenario(shipped_scenario("fig2_sum")).system()
-    sys_n = system.rescaled(float(system.params.omega_mech[0]))
-    p = sys_n.params
-    wp = meanfield.steady_means(p, sys_n.drive.unmodulated())
+    p = system.params
+    wp = meanfield.steady_means(p, system.drive.unmodulated())
     scale = 0.1 * float(np.min(p.kappa_control())) / float(
         np.max(np.abs(wp.coupling)))
-    drive = replace(sys_n.drive,
+    drive = replace(system.drive,
                     cw_amplitudes=tuple(scale * e
-                                        for e in sys_n.drive.cw_amplitudes),
+                                        for e in system.drive.cw_amplitudes),
                     mod_amplitudes=tuple(scale * e
-                                         for e in sys_n.drive.mod_amplitudes))
-    return replace(sys_n, drive=drive)
+                                         for e in system.drive.mod_amplitudes))
+    return replace(system, drive=drive)
 
 
-def _mean_orbit(sys_n, omega_d):
+def _mean_orbit(weak, omega_d):
     """The periodic mean-field orbit over one drive period, on the half-step grid."""
-    drive = replace(sys_n.drive, mod_frequency=omega_d)
+    drive = replace(weak.drive, mod_frequency=omega_d)
     period = 2 * math.pi / omega_d
-    n_per = int(math.ceil(period / pipeline.timestep(replace(sys_n, drive=drive))))
+    n_per = int(math.ceil(period
+                          / pipeline.timestep(replace(weak, drive=drive))))
     dt = period / n_per
-    return dynamics.periodic_orbit(sys_n.params, drive, dt).means, dt, n_per
+    return dynamics.periodic_orbit(weak.params, drive, dt).means, dt, n_per
 
 
-def _full_verdict(sys_n, orbit, dt, n_per):
+def _full_verdict(weak, orbit, dt, n_per):
     """Quasi-steady verdict of the 8x8 model from its Floquet period map."""
-    p = sys_n.params
+    p = weak.params
     a_half = dynamics.drift_samples(orbit, p)
     d = dynamics.build_diffusion(p)
     phi = dynamics.monodromy(a_half, dt)
@@ -191,8 +191,8 @@ def _full_verdict(sys_n, orbit, dt, n_per):
     return "entangled" if eta < 0.5 else "separable"
 
 
-def _reduced_verdict(sys_n, orbit, omega_d):
-    p = sys_n.params
+def _reduced_verdict(weak, orbit, omega_d):
+    p = weak.params
     j_t = effective.effective_J_series(orbit, p)
     harm = effective.modulation_harmonics(orbit.t, j_t, omega_d)
     # Bath occupation reproducing the full model's momentum diffusion D_pp
@@ -209,15 +209,15 @@ def _reduced_verdict(sys_n, orbit, omega_d):
 
 
 def test_acceptance_08_effective_model_consistency(fig2_sum_scenario):
-    sys_n = _weak_system()
-    wsum = float(sys_n.params.omega_mech.sum())
+    weak = _weak_system()
+    wsum = float(weak.params.omega_mech.sum())
     grid = np.array([0.80, 0.85, 0.90, 0.95, 1.00,
                      1.05, 1.10, 1.15, 1.18, 1.20])
     mismatches = []
     for frac in grid:
-        orbit, dt, n_per = _mean_orbit(sys_n, frac * wsum)
-        full = _full_verdict(sys_n, orbit, dt, n_per)
-        reduced = _reduced_verdict(sys_n, orbit, frac * wsum)
+        orbit, dt, n_per = _mean_orbit(weak, frac * wsum)
+        full = _full_verdict(weak, orbit, dt, n_per)
+        reduced = _reduced_verdict(weak, orbit, frac * wsum)
         if full != reduced:
             mismatches.append((frac, full, reduced))
     report = pipeline.effective_report(fig2_sum_scenario.system())

@@ -368,7 +368,7 @@ def test_monodromy_is_the_ordered_product_of_step_maps():
 
 def test_streamed_drift_matches_materialized_grid(fig2_sum_scenario,
                                                   monkeypatch):
-    system = omega1_units(fig2_sum_scenario.system())
+    system = fig2_sum_scenario.system()
     p, drv = system.params, system.drive
     dt = 2 * math.pi / drv.mod_frequency / 64
     wp0 = meanfield.steady_means(p, drv.unmodulated())
@@ -431,11 +431,6 @@ def test_quasi_steady_orbit_flags_convergence():
 
 # ------------------------------------------------------- periodic orbit
 
-def omega1_units(system):
-    """The system in the time unit 1/Omega_1, as the pipeline solves it."""
-    return system.rescaled(float(system.params.omega_mech[0]))
-
-
 def orbit_and_step(system):
     """Periodic orbit at 256 RK4 steps per drive period, and that step."""
     p, drv = system.params, system.drive
@@ -456,7 +451,7 @@ def plain_gap(system, orbit, dt, n_periods):
 
 def test_periodic_orbit_is_the_attractor(fig3_scenario):
     # rho ~ 0.61: sixty periods of plain integration reach the orbit.
-    system = omega1_units(fig3_scenario.system())
+    system = fig3_scenario.system()
     orbit, dt = orbit_and_step(system)
     assert orbit.rho < 0.7
     assert orbit.residual < dynamics.SHOOT_TOL
@@ -471,7 +466,7 @@ def test_periodic_orbit_near_resonant_drive(fig2_half_scenario):
     # omega_D = Omega_1: plain Newton leaves the basin here, so the orbit
     # needs the amplitude continuation.  After 500 periods the plain
     # integration is still ~1e-6 short of periodic (rho ~ 0.97).
-    system = omega1_units(fig2_half_scenario.system())
+    system = fig2_half_scenario.system()
     orbit, dt = orbit_and_step(system)
     assert orbit.rho < 1.0
     assert plain_gap(system, orbit, dt, 500) < 1e-5
@@ -492,7 +487,7 @@ def test_monodromy_is_fourth_order():
 
 
 def test_monodromy_is_the_period_map_jacobian(fig2_sum_scenario):
-    system = omega1_units(fig2_sum_scenario.system())
+    system = fig2_sum_scenario.system()
     p, drv = system.params, system.drive
     orbit, dt = orbit_and_step(system)
     phi = monodromy(drift_samples(orbit.means, p), dt)
@@ -525,7 +520,7 @@ def test_unstable_periodic_orbit_raises(tmp_path, capsys):
     path = tmp_path / "blue.yaml"
     path.write_text(yaml.safe_dump(doc))
     with pytest.raises(UnstableSystemError):
-        orbit_and_step(omega1_units(load_scenario(path).system()))
+        orbit_and_step(load_scenario(path).system())
     assert cli.main(["effective", "--scenario", str(path)]) == cli.EXIT_UNSTABLE
     assert "unstable" in capsys.readouterr().err
 
@@ -533,5 +528,5 @@ def test_unstable_periodic_orbit_raises(tmp_path, capsys):
 def test_stalled_shooting_raises_with_residual(fig2_sum_scenario, monkeypatch):
     monkeypatch.setattr(dynamics, "SHOOT_NEWTON_CAP", 0)
     with pytest.raises(ConvergenceError) as err:
-        orbit_and_step(omega1_units(fig2_sum_scenario.system()))
+        orbit_and_step(fig2_sum_scenario.system())
     assert math.isfinite(err.value.residual) and err.value.residual > 0

@@ -8,9 +8,10 @@ import pytest
 import yaml
 from scipy.integrate import solve_ivp
 
-from twintrap import cli, meanfield, model, pipeline
+from twintrap import cli, dynamics, meanfield, model, pipeline
 from twintrap.dynamics import drift_samples
-from twintrap.meanfield import (MeanTrajectory, UnstableSystemError,
+from twintrap.meanfield import (ConvergenceError, MeanTrajectory,
+                                UnstableSystemError,
                                 fixed_point_residual, integrate_means,
                                 steady_means)
 from twintrap.scenario import parse_scenario, shipped_scenario
@@ -137,13 +138,14 @@ def test_stacked_steady_states_match_one_system_stacks(fig1_scenario,
                                                        fig3_scenario):
     # Two parameter sets interleaved, with a trap that does not confine and
     # a blue-detuned unstable drift among them: one stacked call gives each
-    # system the steady state it gets alone, in input order.
+    # system the steady state it gets alone, bit for bit, in input order.
     fig1 = [fig1_scenario.system(detuning=d) for d in fig1_scenario.sweep.values]
     base = fig1_scenario.system()
     unconfined = dataclasses.replace(
         base, params=nonconfining(base.params, base.drive))
     blue = fig1_scenario.system(detuning=-1.0)
     fig3 = [fig3_scenario.system(detuning=d) for d in (1.0, 1.5)]
+    fig3 = [dataclasses.replace(s, drive=s.drive.unmodulated()) for s in fig3]
     systems = [fig3[0], *fig1[:6], unconfined, blue, *fig1[6:], fig3[1]]
     stacked = pipeline.steady_states(systems)
     assert len(stacked) == len(systems)
@@ -156,12 +158,24 @@ def test_stacked_steady_states_match_one_system_stacks(fig1_scenario,
             messages.append(str(got))
             continue
         got_report, got_v = got
-        np.testing.assert_allclose(dataclasses.astuple(got_report)[:4],
-                                   dataclasses.astuple(want_report)[:4],
-                                   rtol=1e-13, atol=0)
-        assert np.max(np.abs(got_v - want_v)) <= 1e-13 * np.max(np.abs(want_v))
+        assert got_report == want_report
+        assert np.array_equal(got_v, want_v)
     assert len(messages) == 2
     assert "Omega~" in messages[0] and "unstable" in messages[1]
+
+
+def test_lyapunov_bound_miss_names_the_input_system(fig1_scenario,
+                                                    monkeypatch):
+    # The stacked Lyapunov solve sees only the confined systems; its
+    # failure must still name the system by its input position.
+    base = fig1_scenario.system()
+    unconfined = dataclasses.replace(
+        base, params=nonconfining(base.params, base.drive))
+    monkeypatch.setattr(dynamics, "LYAPUNOV_RTOL", 1e-30)
+    with pytest.raises(ConvergenceError,
+                       match=r"matrix 1 of the stack") as err:
+        pipeline.steady_states([unconfined, fig1_scenario.system(detuning=1.0)])
+    assert err.value.residual > 0
 
 
 def assert_same_point(got, want):
@@ -223,14 +237,12 @@ def test_modulated_means_oscillate_at_drive_period(fig2_sum_scenario):
 
 
 def fig2_sum_at_phase(phase):
-    """fig2_sum in the time unit 1/Omega_1, its cavity phases set to
-    +-``phase`` pi; away from the shipped pi/4 the quadratic coupling Gq is
-    nonzero."""
+    """fig2_sum with its cavity phases set to +-``phase`` pi; away from the
+    shipped pi/4 the quadratic coupling Gq is nonzero."""
     with open(shipped_scenario("fig2_sum")) as fh:
         doc = yaml.safe_load(fh)
     doc["cavity"]["phases_over_pi"] = [[phase, phase], [phase, -phase]]
-    system = parse_scenario(doc).system()
-    return system.rescaled(float(system.params.omega_mech[0]))
+    return parse_scenario(doc).system()
 
 
 def reference_rhs(p, drv, bare):
@@ -255,10 +267,11 @@ def reference_rhs(p, drv, bare):
 def test_integration_matches_solve_ivp():
     # Reference: ``reference_rhs`` integrated by an adaptive 8th-order
     # solver over five drive periods, at every sample, Hermite midpoints
-    # included.  At phase 0.1 pi, Gq ~ 1.7e-12 shifts Omega~ by 1.5e-6.
+    # included.  At phase 0.1 pi, Gq ~ 1.7e-12 Omega_1 shifts Omega~ by
+    # 1.5e-6.
     for phase in (0.25, 0.1):
-        sys_n = fig2_sum_at_phase(phase)
-        p, drv = sys_n.params, sys_n.drive
+        system = fig2_sum_at_phase(phase)
+        p, drv = system.params, system.drive
         wp0 = steady_means(p, drv.unmodulated())
         period = 2 * math.pi / drv.mod_frequency
         traj = integrate_means(p, drv, (0.0, 5 * period), period / 256,
@@ -277,8 +290,8 @@ def test_drift_is_the_mean_field_jacobian():
     # move Omega~_j by 1.5e-6 and G_ij by 1.5e-6 relative (2 Gq x_j against
     # Gl); the bound is far below both.  The RHS is cubic in y and its cubic
     # terms carry Gq, so a large difference step costs no accuracy.
-    sys_n = fig2_sum_at_phase(0.1)
-    p, drv = sys_n.params, sys_n.drive
+    system = fig2_sum_at_phase(0.1)
+    p, drv = system.params, system.drive
     period = 2 * math.pi / drv.mod_frequency
     point = integrate_means(p, drv, (0.0, period), period / 256)[77]
     rhs = reference_rhs(p, drv, point.bare_detuning)
@@ -297,8 +310,8 @@ def test_drift_is_the_mean_field_jacobian():
 def test_hermite_midpoints_are_fourth_order():
     # Largest midpoint error against the step ends of a run with 8x the
     # steps, which sit at every coarse and mid midpoint time.
-    sys_n = fig2_sum_at_phase(0.25)
-    p, drv = sys_n.params, sys_n.drive
+    system = fig2_sum_at_phase(0.25)
+    p, drv = system.params, system.drive
     period = 2 * math.pi / drv.mod_frequency
     wp0 = steady_means(p, drv.unmodulated())
 

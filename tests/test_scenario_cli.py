@@ -158,23 +158,6 @@ def test_si_drive_keys_match_relative_keys(fig2_sum_scenario):
                               getattr(sc.params, f.name)), f.name
 
 
-def test_rescaled_divides_exactly_the_declared_rates(fig1_scenario):
-    system = fig1_scenario.system()
-    rates = {f.name for f in dataclasses.fields(system.params)
-             if f.metadata.get("rate")}
-    assert rates == {"omega_mech", "gamma", "recoil", "kappa", "g_bare",
-                     "g_lin", "g_quad"}
-    scale = 3.7
-    scaled = system.rescaled(scale).params
-    for f in dataclasses.fields(system.params):
-        before = getattr(system.params, f.name)
-        after = getattr(scaled, f.name)
-        if f.name in rates:
-            assert np.array_equal(after, before / scale), f.name
-        else:
-            assert after is before, f.name
-
-
 # ------------------------------------------------------------------- CLI
 
 def write_scenario(tmp_path, doc, name="case.yaml"):
@@ -395,28 +378,19 @@ def test_sweep_derives_parameters_once(tmp_path, monkeypatch):
 
 
 def test_sweep_stacks_each_parameter_set_once(tmp_path, monkeypatch):
-    # The steady path rescales the parameters and solves the working points
-    # once per parameter set, not once per sweep point.
+    # The steady path solves the working points once per parameter set,
+    # not once per sweep point.
     doc = base_doc()
     doc["sweep"] = {"axis": "detuning", "values": [0.5, 0.8, 1.0, 1.2]}
     path = write_scenario(tmp_path, doc)
-    calls = {"rescaled": 0, "cw_working_points": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(pipeline.System, "rescaled",
-                        counted("rescaled", pipeline.System.rescaled))
+    calls = []
+    solve = meanfield.cw_working_points
     monkeypatch.setattr(meanfield, "cw_working_points",
-                        counted("cw_working_points",
-                                meanfield.cw_working_points))
+                        lambda *args: calls.append(args) or solve(*args))
     assert cli.main(["sweep", "--scenario", str(path),
                      "--out", str(tmp_path)]) == cli.EXIT_OK
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 5
-    assert calls["rescaled"] <= 1 and calls["cw_working_points"] == 1
+    assert len(calls) == 1
 
 
 def test_sweep_requires_sweep_section(tmp_path, capsys):
@@ -437,6 +411,21 @@ def test_mod_frequency_sweep_axis_rejected(tmp_path, capsys, verb):
     path = write_scenario(tmp_path, doc)
     assert cli.main([verb, "--scenario", str(path)]) == cli.EXIT_CONFIG
     assert "evolve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["steady", "sweep"])
+def test_steady_path_refuses_a_modulated_drive(tmp_path, capsys, verb):
+    # The CW steady state of a modulated drive is not its long-time state,
+    # so the steady path refuses it instead of dropping the modulation.
+    with open(shipped_scenario("fig2_sum")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["sweep"] = {"axis": "detuning", "values": [0.8, 1.0]}
+    path = write_scenario(tmp_path, doc)
+    assert cli.main([verb, "--scenario", str(path),
+                     "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "modulated" in err and "evolve" in err
+    assert not list(tmp_path.glob("*.json")) + list(tmp_path.glob("*.csv"))
 
 
 def test_effective_report_json(tmp_path):
