@@ -12,7 +12,8 @@ Verbs:
   modulated drive as ``steady`` does.
 * ``effective`` — adiabatically eliminated coupling constants J and the
   resonance advisor frequencies.
-* ``validate``  — schema and physical invariants, as loading checks them;
+* ``validate``  — schema and physical invariants, as loading checks them,
+  and a sweep section on a modulated drive refused as ``sweep`` refuses it;
   no dynamics.
 
 Exit codes: 0 success, 2 invalid scenario/arguments, 3 unstable system,
@@ -96,6 +97,8 @@ def _csv_text(columns, rows) -> str:
 
 
 def cmd_validate(scenario: Scenario, args) -> int:
+    if scenario.sweep is not None:
+        pipeline.require_cw([scenario.drive])
     _emit(args, "validate.json", json.dumps({"valid": True}))
     return EXIT_OK
 

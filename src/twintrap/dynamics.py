@@ -14,6 +14,7 @@ quadratures first, then the two control-mode quadratures.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -31,9 +32,11 @@ MARGINAL_TOL = 1e-8
 #: Relative residual bound enforced on every steady Lyapunov solve.
 LYAPUNOV_RTOL = 1e-10
 
-#: Drift matrices per stacked Lyapunov solve; each holds one n^2 x n^2
-#: Kronecker sum (32 KiB at n = 8).  On 1500 drifts, chunks of 16 ran 25%
-#: slower, chunks of 256 no faster, and one whole stack took 90 MiB more.
+#: Drift matrices per stacked Lyapunov solve; each holds one m x m vech
+#: system, m = n (n + 1) / 2 (10 KiB at n = 8).  On the 1500 drifts of a
+#: bench sweep (medians of 25 CPU timings), chunks of 16, 32 and 64 ran
+#: alike (35, 32 and 33 ms), 256 took 45 ms and one whole stack 59 ms with
+#: 21 MiB more working memory.
 LYAPUNOV_CHUNK = 64
 
 #: Steps whose affine maps are built per stacked pass of the fluctuation
@@ -149,18 +152,50 @@ class StabilityReport:
         return self.verdict == "stable"
 
 
+def _norm2(a: np.ndarray) -> np.ndarray:
+    """Spectral norm ||A||_2 = sqrt(lambda_max(A^T A)) of each matrix of a
+    stack: the number ``np.linalg.norm(a, 2)`` gives, from a symmetric
+    eigenvalue solve that costs about half its SVD."""
+    return np.sqrt(np.linalg.eigvalsh(a.swapaxes(-2, -1) @ a)[..., -1])
+
+
 def stability_check(a: np.ndarray) -> StabilityReport:
     """Routh-Hurwitz verdict plus the spectral abscissa margin; one of each
-    per matrix for a stack (..., n, n)."""
+    per matrix for a stack (..., n, n).
+
+    The verdict is marginal where the spectral abscissa is within
+    ``MARGINAL_TOL`` of the scale max(||A||_2, 1).
+    """
     a = np.asarray(a, dtype=float)
     max_re = np.linalg.eigvals(a).real.max(axis=-1)
-    norm = np.linalg.norm(a, 2, axis=(-2, -1))
-    marginal = abs(max_re) <= MARGINAL_TOL * np.maximum(norm, 1.0)
+    marginal = abs(max_re) <= MARGINAL_TOL * np.maximum(_norm2(a), 1.0)
     verdict = np.where(marginal, "marginal",
                        np.where(routh_hurwitz_stable(a), "stable", "unstable"))
     if verdict.ndim == 0:
         return StabilityReport(str(verdict), float(-max_re))
     return StabilityReport(verdict, -max_re)
+
+
+@functools.cache
+def _vech_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Index tables of the half-vectorised (vech) Lyapunov system of order n.
+
+    Unknown p = pos(i, j) is V_ij = V_ji for i <= j, in ``np.triu_indices``
+    order.  Equation (i, j), i <= j, is sum_k A_ik V_kj + V_ik A_jk = -D_ij.
+    Returns the triangle's rows and columns (iu, ju), the (n, n) table pos,
+    and for each of the m n triples (i, j, k) its equation and the two
+    products: the flat index of A_ik with the unknown pos(k, j) it
+    multiplies, and the flat index of A_jk with pos(i, k).  Within each
+    product the (equation, unknown) pairs are unique, so each scatters with
+    a plain fancy assignment.
+    """
+    iu, ju = np.triu_indices(n)
+    m = len(iu)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(m)
+    row = np.repeat(np.arange(m), n)
+    i, j, k = np.repeat(iu, n), np.repeat(ju, n), np.tile(np.arange(n), m)
+    return iu, ju, pos, row, i * n + k, pos[k, j], j * n + k, pos[i, k]
 
 
 def steady_covariance(a: np.ndarray, d: np.ndarray,
@@ -169,13 +204,16 @@ def steady_covariance(a: np.ndarray, d: np.ndarray,
     """Stability verdicts of drifts (..., n, n), taken as a flat stack
     (B, n, n), and the steady covariances of the stable ones, in order.
 
-    Solves A V + V A^T + D = 0 in vec form: the row-major vec(V) solves
-    (A (x) I + I (x) A) vec(V) = -vec(D), one ``np.linalg.solve`` on the
-    n^2 x n^2 Kronecker sum per matrix, ``LYAPUNOV_CHUNK`` matrices at a
-    time.  ``d`` is one diffusion matrix or a stack of them.  Every
-    solution must meet the relative residual bound ``LYAPUNOV_RTOL``, or
-    ``ConvergenceError`` names the first matrix that misses it: by its
-    position in the stack, or by that position's entry of ``labels``.
+    Solves A V + V A^T + D = 0 for its m = n (n + 1) / 2 independent
+    unknowns V_ij, i <= j (the vech form of Magnus & Neudecker, 1980): one
+    ``np.linalg.solve`` on an m x m system per matrix (36 x 36 at n = 8),
+    ``LYAPUNOV_CHUNK`` matrices at a time.  The right-hand side is the
+    upper triangle of the symmetric part of D, and V is filled
+    symmetrically from the solution.  ``d`` is one diffusion matrix or a
+    stack of them.  Every solution must meet the relative residual bound
+    ``LYAPUNOV_RTOL`` against the given D, or ``ConvergenceError`` names
+    the first matrix that misses it: by its position in the stack, or by
+    that position's entry of ``labels``.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
@@ -183,21 +221,21 @@ def steady_covariance(a: np.ndarray, d: np.ndarray,
     a = a.reshape(-1, n, n)
     report = stability_check(a)
     index = np.flatnonzero(report.stable)
-    diag = np.arange(n)
+    iu, ju, pos, row, a_ik, v_kj, a_jk, v_ik = _vech_tables(n)
+    m = len(iu)
     v = np.empty((len(index), n, n))
     for start in range(0, len(index), LYAPUNOV_CHUNK):
         chunk = index[start:start + LYAPUNOV_CHUNK]
         ac, dc = a[chunk], d[chunk]
-        # Entry ((i, k), (j, l)) is A_ij delta_kl + delta_ij A_kl: A is
-        # scattered into the blocks k = l, then added into the blocks i = j.
-        kron = np.zeros((len(chunk), n, n, n, n))
-        kron[:, :, diag, :, diag] = ac
-        kron[:, diag, :, diag, :] += ac
-        vc = np.linalg.solve(kron.reshape(-1, n * n, n * n),
-                             -dc.reshape(-1, n * n, 1)).reshape(-1, n, n)
-        vc = 0.5 * (vc + vc.swapaxes(1, 2))
-        lhs = ac @ vc
-        residual = (np.linalg.norm(lhs + lhs.swapaxes(1, 2) + dc, axis=(1, 2))
+        flat = ac.reshape(-1, n * n)
+        # A_ik multiplies V_kj and A_jk multiplies V_ik in equation (i, j).
+        lhs = np.zeros((len(chunk), m, m))
+        lhs[:, row, v_kj] = flat[:, a_ik]
+        lhs[:, row, v_ik] += flat[:, a_jk]
+        rhs = -0.5 * (dc[:, iu, ju] + dc[:, ju, iu])
+        vc = np.linalg.solve(lhs, rhs[..., None])[:, pos, 0]
+        av = ac @ vc
+        residual = (np.linalg.norm(av + av.swapaxes(1, 2) + dc, axis=(1, 2))
                     / np.linalg.norm(dc, axis=(1, 2)))
         missed = ~(residual <= LYAPUNOV_RTOL)
         if missed.any():

@@ -155,7 +155,7 @@ def steady_means(params: DerivedParams, drive: DriveSpec) -> MeanTrajectory:
     ``UnstableSystemError`` (naming Omega~) when some Omega~_j <= 0, since
     the trap then does not confine.
     """
-    if any(e > 0 for e in drive.mod_amplitudes):
+    if drive.modulated:
         raise ValueError("steady_means requires a CW drive")
     wp, confining = cw_working_points(params, drive.cw_amplitudes,
                                       drive.detunings)

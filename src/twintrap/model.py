@@ -170,8 +170,13 @@ class DriveSpec:
                 raise ConfigError("drive amplitudes must be non-negative")
             if e1 > 0 and e1 >= e0:
                 raise ConfigError("modulation must stay below the CW amplitude")
-        if any(e > 0 for e in self.mod_amplitudes) and self.mod_frequency <= 0:
+        if self.modulated and self.mod_frequency <= 0:
             raise ConfigError("modulated drive needs a positive modulation frequency")
+
+    @property
+    def modulated(self) -> bool:
+        """True when either control mode carries a modulation."""
+        return any(e > 0 for e in self.mod_amplitudes)
 
     def amplitude(self, mode: int, t: float) -> float:
         """E_i(t); mode 0 is the trap, modes 1 and 2 the control lasers."""

@@ -9,7 +9,7 @@ is tau = 4 pi / (Omega_1 + Omega_2).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +41,14 @@ def timestep(system: System) -> float:
     return 2 * math.pi / (STEPS_PER_CYCLE * fastest)
 
 
+def require_cw(drives: Iterable[DriveSpec]) -> None:
+    """Raise ``ConfigError`` if any drive is modulated: such a drive has no
+    CW steady state, so ``steady`` and ``sweep`` cannot run it."""
+    if any(drive.modulated for drive in drives):
+        raise ConfigError("the drive is modulated and has no CW steady "
+                          "state; run evolve for its long-time state")
+
+
 def steady_states(systems: Sequence[System]) -> list:
     """CW steady states of many systems in one stacked pass, in input order.
 
@@ -55,9 +63,7 @@ def steady_states(systems: Sequence[System]) -> list:
     A Lyapunov solve that misses its bound raises ``ConvergenceError``
     naming the system by its input position.
     """
-    if any(any(e > 0 for e in s.drive.mod_amplitudes) for s in systems):
-        raise ConfigError("the drive is modulated and has no CW steady "
-                          "state; run evolve for its long-time state")
+    require_cw(s.drive for s in systems)
     out: list = [None] * len(systems)
     groups: dict[int, list[int]] = {}
     for k, system in enumerate(systems):

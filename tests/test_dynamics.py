@@ -1,6 +1,7 @@
 """Drift/diffusion assembly, stability, and covariance propagation."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -192,6 +193,82 @@ def test_lyapunov_stack_longer_than_a_chunk():
         lyapunov_steady(a, d)
 
 
+def kronecker_lyapunov(a, d):
+    """Reference steady covariances of a stack: the row-major vec(V) solves
+    (A (x) I + I (x) A) vec(V) = -vec(D), one n^2 x n^2 system per drift;
+    the solution is symmetrised, since its antisymmetric part is rounding."""
+    n = a.shape[-1]
+    eye = np.eye(n)
+    kron = np.array([np.kron(ak, eye) + np.kron(eye, ak) for ak in a])
+    d = np.broadcast_to(d, a.shape).reshape(-1, n * n, 1)
+    v = np.linalg.solve(kron, -d).reshape(a.shape)
+    return 0.5 * (v + v.swapaxes(1, 2))
+
+
+@pytest.fixture(scope="module")
+def bench_grid(fig1_scenario):
+    """Drifts and diffusion of a 1500-point stratified detuning sweep of
+    fig1_cw over its stable band [0.2, 2.0] Omega_1, seed 1."""
+    rng = random.Random(1)
+    width = 1.8 / 1500
+    systems = [fig1_scenario.system(detuning=0.2 + (i + rng.random()) * width)
+               for i in range(1500)]
+    p = fig1_scenario.params
+    wp, confining = meanfield.cw_working_points(
+        p, np.array([s.drive.cw_amplitudes for s in systems]),
+        np.array([s.drive.detunings for s in systems]))
+    assert confining.all()
+    return drift_samples(wp, p), build_diffusion(p)
+
+
+def assert_matches_kronecker(a, d):
+    report, v = dynamics.steady_covariance(a, d)
+    assert report.stable.all()
+    ref = kronecker_lyapunov(a, d)
+    err = np.abs(v - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert err.max() < 1e-12
+    assert np.array_equal(v, v.swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("dim", [8, 4])
+def test_vech_solve_matches_kronecker_reference(dim):
+    # Dense symmetric diffusions, one per drift, over more than one chunk.
+    rng = np.random.default_rng(dim)
+    count = dynamics.LYAPUNOV_CHUNK + 5
+    a = np.array([random_stable_drift(rng, dim) for _ in range(count)])
+    d = np.array([random_psd(rng, dim) for _ in range(count)])
+    assert_matches_kronecker(a, d)
+
+
+def test_vech_solve_matches_kronecker_on_the_bench_grid(bench_grid):
+    assert_matches_kronecker(*bench_grid)
+
+
+def test_non_symmetric_diffusion_misses_the_residual_bound():
+    # V solves the symmetric part of D; the antisymmetric part is left in
+    # the residual against the given D, which then misses the bound.
+    rng = np.random.default_rng(11)
+    a = random_stable_drift(rng)
+    sym = random_psd(rng)
+    skew = 1e-3 * rng.normal(size=(8, 8))
+    skew -= skew.T
+    with pytest.raises(ConvergenceError, match="Lyapunov residual") as err:
+        dynamics.steady_covariance(a[None], sym + skew)
+    expect = np.linalg.norm(skew) / np.linalg.norm(sym + skew)
+    assert err.value.residual == pytest.approx(expect, rel=1e-6)
+    _, v = dynamics.steady_covariance(a[None], sym)
+    assert np.allclose(v[0], kronecker_lyapunov(a[None], sym)[0],
+                       rtol=0, atol=1e-12 * np.abs(v).max())
+
+
+def test_marginal_scale_is_the_spectral_norm(bench_grid):
+    rng = np.random.default_rng(12)
+    for a in (bench_grid[0], rng.normal(size=(50, 8, 8)),
+              rng.normal(size=(50, 4, 4)), np.eye(3)):
+        norm = np.linalg.norm(a, 2, axis=(-2, -1))
+        assert np.allclose(dynamics._norm2(a), norm, rtol=1e-14, atol=0)
+
+
 def test_lyapunov_bound_miss_exits_4(fig1_scenario, monkeypatch, capsys):
     monkeypatch.setattr(dynamics, "LYAPUNOV_RTOL", 1e-30)
     with pytest.raises(ConvergenceError, match="Lyapunov residual") as err:
@@ -204,7 +281,7 @@ def test_lyapunov_bound_miss_exits_4(fig1_scenario, monkeypatch, capsys):
 
 def test_blue_detuned_stable_sweep(tmp_path, capsys):
     # Stable blue-detuned points whose steady state the Bartels-Stewart
-    # solver left at a residual of 2-8e-10; the vec form gets 4.7e-11.
+    # solver left at a residual of 2-8e-10; the vech solve gets 1.6e-11.
     with open(shipped_scenario("fig1_cw")) as fh:
         doc = yaml.safe_load(fh)
     doc["sweep"]["values"] = [1.0, -2.95, -2.92]

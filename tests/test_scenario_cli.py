@@ -428,6 +428,21 @@ def test_steady_path_refuses_a_modulated_drive(tmp_path, capsys, verb):
     assert not list(tmp_path.glob("*.json")) + list(tmp_path.glob("*.csv"))
 
 
+def test_validate_refuses_a_sweep_section_on_a_modulated_drive(tmp_path,
+                                                              capsys):
+    # validate predicts sweep; evolve ignores the sweep section.
+    with open(shipped_scenario("fig2_sum")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["sweep"] = {"axis": "detuning", "values": [0.8, 1.0]}
+    path = str(write_scenario(tmp_path, doc))
+    for verb in ("validate", "sweep"):
+        assert cli.main([verb, "--scenario", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "modulated" in err and "evolve" in err
+    assert cli.main(["evolve", "--scenario", path,
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+
+
 def test_effective_report_json(tmp_path):
     code = cli.main(["effective", "--scenario",
                      str(shipped_scenario("fig2_sum")), "--out",
