@@ -21,7 +21,8 @@ scenario = load_scenario(shipped_scenario("fig1_cw"))
 # check, Lyapunov solve and Gaussian analysis.
 ratios = np.linspace(0.3, 1.5, 13)
 results = pipeline.steady_states(
-    [scenario.system(detuning=float(ratio)) for ratio in ratios])
+    scenario.params,
+    [scenario.system(detuning=float(ratio)).drive for ratio in ratios])
 
 print("detuning/Omega   eta_min    E_N     nbar")
 for ratio, (report, _) in zip(ratios, results):

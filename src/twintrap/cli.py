@@ -8,16 +8,18 @@ Verbs:
   with columns ``t_over_tau, eta_min, E_N, nbar1, nbar2`` plus a
   quasi-steady summary report.
 * ``sweep``     — steady-state scan along the scenario's sweep axis;
-  long-format CSV ordered as the values appear in the file.  Refuses a
-  modulated drive as ``steady`` does.
+  long-format CSV, one row per value in file order.  A point with no steady
+  state reads ``unstable`` and one whose Lyapunov residual misses its bound
+  ``unconverged``, with empty numbers; the exit code is the largest among
+  the rows.  Refuses a modulated drive as ``steady`` does.
 * ``effective`` — adiabatically eliminated coupling constants J and the
   resonance advisor frequencies.
 * ``validate``  — schema and physical invariants, as loading checks them,
   and a sweep section on a modulated drive refused as ``sweep`` refuses it;
   no dynamics.
 
-Exit codes: 0 success, 2 invalid scenario/arguments, 3 unstable system,
-4 non-converged computation.
+Exit codes (``EXIT_CODES``): 0 success, 2 invalid scenario/arguments, 3
+unstable system, 4 non-converged computation.
 """
 
 from __future__ import annotations
@@ -44,6 +46,17 @@ EXIT_UNSTABLE = 3
 EXIT_NOCONV = 4
 
 SERIES_COLUMNS = ("t_over_tau", "eta_min", "E_N", "nbar1", "nbar2")
+
+#: Exit code of each error a verb may end with.
+EXIT_CODES = {ConfigError: EXIT_CONFIG, OSError: EXIT_CONFIG,
+              UnstableSystemError: EXIT_UNSTABLE, BlowupError: EXIT_UNSTABLE,
+              ConvergenceError: EXIT_NOCONV}
+
+
+def exit_code(exc: Exception) -> int:
+    """The exit code of an error, from ``EXIT_CODES``."""
+    return next(code for kind, code in EXIT_CODES.items()
+                if isinstance(exc, kind))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -151,13 +164,15 @@ def cmd_sweep(scenario: Scenario, args) -> int:
 
     values = scenario.sweep.values   # input order: deterministic output
     results = pipeline.steady_states(
-        [scenario.system(**{axis: value}) for value in values])
-    rows = []
-    any_unstable = False
+        scenario.params,
+        [scenario.system(**{axis: value}).drive for value in values])
+    rows, code = [], EXIT_OK
     for value, result in zip(values, results):
-        if isinstance(result, UnstableSystemError):
-            any_unstable = True
-            rows.append([f"{value:.12g}", "", "", "", "", "unstable"])
+        if isinstance(result, Exception):
+            code = max(code, exit_code(result))
+            status = ("unstable" if isinstance(result, UnstableSystemError)
+                      else "unconverged")
+            rows.append([f"{value:.12g}", "", "", "", "", status])
         else:
             report = result[0]
             rows.append([f"{value:.12g}", f"{report.eta_min:.12g}",
@@ -165,7 +180,7 @@ def cmd_sweep(scenario: Scenario, args) -> int:
                          f"{report.nbar2:.12g}", "stable"])
     text = _csv_text((axis,) + SERIES_COLUMNS[1:] + ("stability",), rows)
     _emit(args, "sweep.csv", text)
-    return EXIT_UNSTABLE if any_unstable else EXIT_OK
+    return code
 
 
 def cmd_effective(scenario: Scenario, args) -> int:
@@ -189,21 +204,10 @@ VERBS = {
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
-    except (ConfigError, OSError) as exc:
+        return VERBS[args.verb](load_scenario(args.scenario), args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return VERBS[args.verb](scenario, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (UnstableSystemError, BlowupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

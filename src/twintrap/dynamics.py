@@ -198,11 +198,25 @@ def _vech_tables(n: int) -> tuple[np.ndarray, ...]:
     return iu, ju, pos, row, i * n + k, pos[k, j], j * n + k, pos[i, k]
 
 
-def steady_covariance(a: np.ndarray, d: np.ndarray,
-                      labels: list[int] | None = None
-                      ) -> tuple[StabilityReport, np.ndarray]:
+def unstable_drift(verdict: str, margin: float,
+                   where: str = "") -> UnstableSystemError:
+    """The error of a drift with no steady state; ``where`` names it."""
+    return UnstableSystemError(
+        f"no steady state: drift is {verdict} (margin {margin:.3e}){where}")
+
+
+def residual_miss(residual: float, where: str = "") -> ConvergenceError:
+    """The error of a steady covariance that misses ``LYAPUNOV_RTOL``."""
+    return ConvergenceError(
+        f"Lyapunov residual {residual:.3e} above bound "
+        f"{LYAPUNOV_RTOL:.0e}{where}", float(residual))
+
+
+def steady_covariance(a: np.ndarray, d: np.ndarray
+                      ) -> tuple[StabilityReport, np.ndarray, np.ndarray]:
     """Stability verdicts of drifts (..., n, n), taken as a flat stack
-    (B, n, n), and the steady covariances of the stable ones, in order.
+    (B, n, n), and the steady covariances of the stable ones, in order,
+    with the relative residual ||A V + V A^T + D|| / ||D|| of each.
 
     Solves A V + V A^T + D = 0 for its m = n (n + 1) / 2 independent
     unknowns V_ij, i <= j (the vech form of Magnus & Neudecker, 1980): one
@@ -210,59 +224,50 @@ def steady_covariance(a: np.ndarray, d: np.ndarray,
     ``LYAPUNOV_CHUNK`` matrices at a time.  The right-hand side is the
     upper triangle of the symmetric part of D, and V is filled
     symmetrically from the solution.  ``d`` is one diffusion matrix or a
-    stack of them.  Every solution must meet the relative residual bound
-    ``LYAPUNOV_RTOL`` against the given D, or ``ConvergenceError`` names
-    the first matrix that misses it: by its position in the stack, or by
-    that position's entry of ``labels``.
+    stack of them.  The residual is taken against the given D; a solution
+    counts only if it meets ``LYAPUNOV_RTOL``, which the callers enforce.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
     d = np.broadcast_to(np.asarray(d, dtype=float), a.shape).reshape(-1, n, n)
     a = a.reshape(-1, n, n)
     report = stability_check(a)
-    index = np.flatnonzero(report.stable)
     iu, ju, pos, row, a_ik, v_kj, a_jk, v_ik = _vech_tables(n)
     m = len(iu)
-    v = np.empty((len(index), n, n))
-    for start in range(0, len(index), LYAPUNOV_CHUNK):
-        chunk = index[start:start + LYAPUNOV_CHUNK]
-        ac, dc = a[chunk], d[chunk]
-        flat = ac.reshape(-1, n * n)
+    a, d = a[report.stable], d[report.stable]
+    v = np.empty_like(a)
+    for start in range(0, len(a), LYAPUNOV_CHUNK):
+        chunk = slice(start, start + LYAPUNOV_CHUNK)
+        flat, dc = a[chunk].reshape(-1, n * n), d[chunk]
         # A_ik multiplies V_kj and A_jk multiplies V_ik in equation (i, j).
-        lhs = np.zeros((len(chunk), m, m))
+        lhs = np.zeros((len(dc), m, m))
         lhs[:, row, v_kj] = flat[:, a_ik]
         lhs[:, row, v_ik] += flat[:, a_jk]
         rhs = -0.5 * (dc[:, iu, ju] + dc[:, ju, iu])
-        vc = np.linalg.solve(lhs, rhs[..., None])[:, pos, 0]
-        av = ac @ vc
-        residual = (np.linalg.norm(av + av.swapaxes(1, 2) + dc, axis=(1, 2))
-                    / np.linalg.norm(dc, axis=(1, 2)))
-        missed = ~(residual <= LYAPUNOV_RTOL)
-        if missed.any():
-            j = int(missed.argmax())
-            name = chunk[j] if labels is None else labels[chunk[j]]
-            raise ConvergenceError(
-                f"Lyapunov residual {residual[j]:.3e} above bound "
-                f"{LYAPUNOV_RTOL:.0e} (matrix {name} of the stack)",
-                float(residual[j]))
-        v[start:start + len(chunk)] = vc
-    return report, v
+        v[chunk] = np.linalg.solve(lhs, rhs[..., None])[:, pos, 0]
+    av = a @ v
+    residual = (np.linalg.norm(av + av.swapaxes(1, 2) + d, axis=(1, 2))
+                / np.linalg.norm(d, axis=(1, 2)))
+    return report, v, residual
 
 
 def lyapunov_steady(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Steady covariance from A V + V A^T + D = 0, for one drift matrix or a
     stack (..., n, n), solved by ``steady_covariance``.
 
-    Raises ``UnstableSystemError`` when a drift admits no steady state.
+    Raises ``UnstableSystemError`` (no steady state) or ``ConvergenceError``
+    (residual above ``LYAPUNOV_RTOL``), naming a stack's first such matrix.
     """
     a = np.asarray(a, dtype=float)
-    report, v = steady_covariance(a, d)
+    report, v, residual = steady_covariance(a, d)
+    at = " (matrix {} of the stack)" if a.ndim > 2 else ""
     if not report.stable.all():
         k = int(report.stable.argmin())
-        where = f" (matrix {k} of the stack)" if a.ndim > 2 else ""
-        raise UnstableSystemError(
-            f"no steady state: drift is {report.verdict[k]} "
-            f"(margin {report.margin[k]:.3e}){where}")
+        raise unstable_drift(report.verdict[k], report.margin[k], at.format(k))
+    missed = ~(residual <= LYAPUNOV_RTOL)
+    if missed.any():
+        k = int(missed.argmax())
+        raise residual_miss(residual[k], at.format(k))
     return v.reshape(a.shape)
 
 

@@ -64,7 +64,7 @@ def symplectic_spectrum(v: np.ndarray) -> np.ndarray:
              "covariance must be positive definite")
     raw = abs(np.linalg.eigvals(symplectic_form(v.shape[-1] // 2) @ v))
     raw.sort(axis=-1)
-    pairs = raw.reshape(raw.shape[:-1] + (-1, 2))
+    pairs = raw.reshape(raw.shape[:-1] + (raw.shape[-1] // 2, 2))
     _require(abs(pairs[..., 0] - pairs[..., 1]).max(axis=-1)
              <= PAIRING_TOL * np.maximum(raw[..., -1], 1.0),
              "symplectic spectrum failed to pair")

@@ -49,57 +49,47 @@ def require_cw(drives: Iterable[DriveSpec]) -> None:
                           "state; run evolve for its long-time state")
 
 
-def steady_states(systems: Sequence[System]) -> list:
-    """CW steady states of many systems in one stacked pass, in input order.
+def steady_states(params: DerivedParams, drives: Sequence[DriveSpec]) -> list:
+    """CW steady states of many drives of one parameter set, in input order.
 
-    The systems are grouped by their ``params`` object (the points of a
-    sweep share one).  One ``meanfield.cw_working_points`` call per group
-    gives its working points, one ``drift_samples`` call their drifts, and
-    one diffusion matrix serves them all.  One stacked stability check,
-    Lyapunov solve and Gaussian analysis then cover every group.  Returns
-    one ``(EntanglementReport, covariance)`` per system, or the
-    ``UnstableSystemError`` of a system that has no steady state.  A
-    modulated drive has no CW steady state; it raises ``ConfigError``.
-    A Lyapunov solve that misses its bound raises ``ConvergenceError``
-    naming the system by its input position.
+    One ``meanfield.cw_working_points`` call gives the working points, one
+    ``drift_samples`` call their drifts and one diffusion matrix serves
+    them all; one stability check, Lyapunov solve and Gaussian analysis
+    cover the stack.  Each drive's slot holds its ``(EntanglementReport,
+    covariance)``, the ``UnstableSystemError`` of a point with no steady
+    state, or the ``ConvergenceError`` of one whose Lyapunov residual
+    misses ``dynamics.LYAPUNOV_RTOL``.  A modulated drive, which has no CW
+    steady state, raises ``ConfigError``.
     """
-    require_cw(s.drive for s in systems)
-    out: list = [None] * len(systems)
-    groups: dict[int, list[int]] = {}
-    for k, system in enumerate(systems):
-        groups.setdefault(id(system.params), []).append(k)
-    index, drifts, diffusions = [], [], []
-    for members in groups.values():
-        p = systems[members[0]].params
-        drives = [systems[k].drive for k in members]
-        wp, confining = meanfield.cw_working_points(
-            p, np.array([d.cw_amplitudes for d in drives]),
-            np.array([d.detunings for d in drives]))
-        for k, ok, omega in zip(members, confining, wp.omega_shifted):
-            if ok:
-                index.append(k)
-            else:
-                out[k] = meanfield.UnstableSystemError.unconfined(omega)
-        drifts.append(dynamics.drift_samples(wp, p)[confining])
-        diffusions.append(np.broadcast_to(dynamics.build_diffusion(p),
-                                          drifts[-1].shape))
-    if not index:
-        return out
-    stability, v = dynamics.steady_covariance(
-        np.concatenate(drifts), np.concatenate(diffusions), labels=index)
-    reports = gaussian.report_from_covariance(v, stable=True) if len(v) else []
-    stable = iter(zip(reports, v))
-    for k, ok, verdict, margin in zip(index, stability.stable,
-                                      stability.verdict, stability.margin):
-        out[k] = next(stable) if ok else dynamics.UnstableSystemError(
-            f"no steady state: drift is {verdict} (margin {margin:.3e})")
-    return out
+    require_cw(drives)
+    wp, confining = meanfield.cw_working_points(
+        params, np.array([d.cw_amplitudes for d in drives]),
+        np.array([d.detunings for d in drives]))
+    stability, v, residual = dynamics.steady_covariance(
+        dynamics.drift_samples(wp, params)[confining],
+        dynamics.build_diffusion(params))
+    reports = iter(gaussian.report_from_covariance(
+        v[residual <= dynamics.LYAPUNOV_RTOL], stable=True))
+    verdicts = zip(stability.verdict, stability.margin)
+    solved = zip(residual, v)
+
+    def outcome(ok: bool, omega: np.ndarray):
+        if not ok:
+            return meanfield.UnstableSystemError.unconfined(omega)
+        verdict, margin = next(verdicts)
+        if verdict != "stable":
+            return dynamics.unstable_drift(verdict, margin)
+        miss, cov = next(solved)
+        return ((next(reports), cov) if miss <= dynamics.LYAPUNOV_RTOL
+                else dynamics.residual_miss(miss))
+
+    return list(map(outcome, confining, wp.omega_shifted))
 
 
 def steady_state(system: System) -> tuple[gaussian.EntanglementReport, np.ndarray]:
-    """CW steady state of one system: ``steady_states`` of a one-system
-    stack.  Raises ``UnstableSystemError`` when there is none."""
-    (result,) = steady_states([system])
+    """CW steady state of one system: ``steady_states`` of a one-drive
+    stack.  Raises the error in its slot when there is none."""
+    (result,) = steady_states(system.params, [system.drive])
     if isinstance(result, Exception):
         raise result
     return result

@@ -141,6 +141,8 @@ def _number(value, where: str, whole: bool = False) -> float | int:
     """``value`` as a float, or as an int when ``whole``; a value that is
     not a finite number (or not a whole one) is a ``ConfigError``."""
     try:
+        if isinstance(value, bool):   # float() would read true as 1
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number, not {value!r}") from None
@@ -261,8 +263,11 @@ def _parse_sweep(section: dict) -> SweepSpec:
     values = section.get("values")
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError("sweep.values must be a non-empty list")
-    return SweepSpec(axis=axis,
-                     values=tuple(_number(v, "sweep.values") for v in values))
+    values = tuple(_number(v, "sweep.values") for v in values)
+    if axis == "control_fraction" and min(values) < 0:
+        raise ConfigError("sweep.values must be non-negative control "
+                          f"fractions, not {min(values)!r}")
+    return SweepSpec(axis=axis, values=values)
 
 
 def parse_scenario(doc: dict) -> Scenario:

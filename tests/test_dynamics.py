@@ -222,8 +222,8 @@ def bench_grid(fig1_scenario):
 
 
 def assert_matches_kronecker(a, d):
-    report, v = dynamics.steady_covariance(a, d)
-    assert report.stable.all()
+    report, v, residual = dynamics.steady_covariance(a, d)
+    assert report.stable.all() and residual.max() <= dynamics.LYAPUNOV_RTOL
     ref = kronecker_lyapunov(a, d)
     err = np.abs(v - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
     assert err.max() < 1e-12
@@ -252,11 +252,13 @@ def test_non_symmetric_diffusion_misses_the_residual_bound():
     sym = random_psd(rng)
     skew = 1e-3 * rng.normal(size=(8, 8))
     skew -= skew.T
-    with pytest.raises(ConvergenceError, match="Lyapunov residual") as err:
-        dynamics.steady_covariance(a[None], sym + skew)
+    _, _, residual = dynamics.steady_covariance(a[None], sym + skew)
     expect = np.linalg.norm(skew) / np.linalg.norm(sym + skew)
-    assert err.value.residual == pytest.approx(expect, rel=1e-6)
-    _, v = dynamics.steady_covariance(a[None], sym)
+    assert residual[0] == pytest.approx(expect, rel=1e-6)
+    with pytest.raises(ConvergenceError, match="Lyapunov residual") as err:
+        lyapunov_steady(a, sym + skew)
+    assert err.value.residual == residual[0]
+    _, v, _ = dynamics.steady_covariance(a[None], sym)
     assert np.allclose(v[0], kronecker_lyapunov(a[None], sym)[0],
                        rtol=0, atol=1e-12 * np.abs(v).max())
 
@@ -277,6 +279,21 @@ def test_lyapunov_bound_miss_exits_4(fig1_scenario, monkeypatch, capsys):
     argv = ["steady", "--scenario", str(shipped_scenario("fig1_cw"))]
     assert cli.main(argv) == cli.EXIT_NOCONV
     assert "Lyapunov residual" in capsys.readouterr().err
+
+
+def test_lyapunov_steady_names_the_matrix_that_misses(fig1_scenario):
+    # At detuning 0 the drift is stable through mechanical damping alone
+    # and its residual (3.4e-8) misses the bound; its neighbours meet it.
+    p = fig1_scenario.params
+    drives = [fig1_scenario.system(detuning=x).drive for x in (0.5, 0.0, 1.0)]
+    wp, _ = meanfield.cw_working_points(
+        p, np.array([d.cw_amplitudes for d in drives]),
+        np.array([d.detunings for d in drives]))
+    with pytest.raises(ConvergenceError,
+                       match=r"above bound 1e-10 \(matrix 1 of the stack\)"
+                       ) as err:
+        lyapunov_steady(drift_samples(wp, p), build_diffusion(p))
+    assert err.value.residual > dynamics.LYAPUNOV_RTOL
 
 
 def test_blue_detuned_stable_sweep(tmp_path, capsys):

@@ -117,13 +117,21 @@ def nonconfining(params, drive):
     return dataclasses.replace(params, g_quad=g_quad)
 
 
+def stronger(drive, factor=100.0):
+    """``drive`` with its control amplitudes scaled by ``factor``."""
+    return dataclasses.replace(drive, cw_amplitudes=tuple(
+        factor * e for e in drive.cw_amplitudes))
+
+
 def test_nonconfining_trap_raises_unstable(fig1_scenario, monkeypatch, capsys):
     system = fig1_scenario.system()
     bad = nonconfining(system.params, system.drive)
     with pytest.raises(UnstableSystemError, match="Omega~"):
         steady_means(bad, system.drive)
+    # A drive with a tenth of the amplitude has a hundredth of the photons,
+    # so the same parameters confine it.
     good, failed = pipeline.steady_states(
-        [system, dataclasses.replace(system, params=bad)])
+        bad, [stronger(system.drive, 0.1), system.drive])
     assert good[0].stable and isinstance(failed, UnstableSystemError)
 
     derive = model.derive_params
@@ -134,48 +142,86 @@ def test_nonconfining_trap_raises_unstable(fig1_scenario, monkeypatch, capsys):
     assert "Omega~" in capsys.readouterr().err
 
 
-def test_stacked_steady_states_match_one_system_stacks(fig1_scenario,
-                                                       fig3_scenario):
-    # Two parameter sets interleaved, with a trap that does not confine and
-    # a blue-detuned unstable drift among them: one stacked call gives each
-    # system the steady state it gets alone, bit for bit, in input order.
-    fig1 = [fig1_scenario.system(detuning=d) for d in fig1_scenario.sweep.values]
-    base = fig1_scenario.system()
-    unconfined = dataclasses.replace(
-        base, params=nonconfining(base.params, base.drive))
-    blue = fig1_scenario.system(detuning=-1.0)
-    fig3 = [fig3_scenario.system(detuning=d) for d in (1.0, 1.5)]
-    fig3 = [dataclasses.replace(s, drive=s.drive.unmodulated()) for s in fig3]
-    systems = [fig3[0], *fig1[:6], unconfined, blue, *fig1[6:], fig3[1]]
-    stacked = pipeline.steady_states(systems)
-    assert len(stacked) == len(systems)
+def assert_one_drive_results(params, drives, stacked):
+    """Each slot of a stacked ``steady_states`` call is what the drive gets
+    alone, bit for bit; returns the messages of the failed slots."""
+    assert len(stacked) == len(drives)
     messages = []
-    for system, got in zip(systems, stacked):
+    for drive, got in zip(drives, stacked):
         try:
-            want_report, want_v = pipeline.steady_state(system)
-        except UnstableSystemError as exc:
+            want_report, want_v = pipeline.steady_state(
+                pipeline.System(params, drive))
+        except (UnstableSystemError, ConvergenceError) as exc:
             assert type(got) is type(exc) and str(got) == str(exc)
             messages.append(str(got))
             continue
         got_report, got_v = got
         assert got_report == want_report
         assert np.array_equal(got_v, want_v)
+    return messages
+
+
+def test_stacked_steady_states_match_one_system_stacks(fig1_scenario,
+                                                       fig3_scenario):
+    # A trap that does not confine and a blue-detuned unstable drift among
+    # stable drives: one stacked call per parameter set gives each drive
+    # the steady state it gets alone, bit for bit, in input order.  The
+    # parameters confine the sweep drives, every one stable, but not a
+    # hundred times stronger drive.
+    fig1 = [fig1_scenario.system(detuning=d).drive
+            for d in fig1_scenario.sweep.values]
+    base = fig1_scenario.system().drive
+    params = nonconfining(fig1_scenario.params, stronger(base))
+    blue = fig1_scenario.system(detuning=-1.0).drive
+    drives = [*fig1[:6], stronger(base), blue, *fig1[6:]]
+    messages = assert_one_drive_results(
+        params, drives, pipeline.steady_states(params, drives))
     assert len(messages) == 2
     assert "Omega~" in messages[0] and "unstable" in messages[1]
+
+    # On the shipped parameters, detuning 0 misses the Lyapunov bound.
+    zero = fig1_scenario.system(detuning=0.0).drive
+    drives = [*fig1[:6], blue, zero, *fig1[6:]]
+    messages = assert_one_drive_results(
+        fig1_scenario.params, drives,
+        pipeline.steady_states(fig1_scenario.params, drives))
+    assert len(messages) == 2
+    assert "unstable" in messages[0] and "Lyapunov" in messages[1]
+
+    fig3 = [fig3_scenario.system(detuning=d).drive.unmodulated()
+            for d in (1.0, 1.5)]
+    assert not assert_one_drive_results(
+        fig3_scenario.params, fig3,
+        pipeline.steady_states(fig3_scenario.params, fig3))
+
+
+def test_stack_with_no_confining_point_fails_every_slot(fig1_scenario):
+    drive = fig1_scenario.system().drive
+    drives = [drive, stronger(drive, 2.0)]
+    results = pipeline.steady_states(
+        nonconfining(fig1_scenario.params, drive), drives)
+    assert [type(r) for r in results] == [UnstableSystemError] * 2
+    assert all("Omega~" in str(r) for r in results)
 
 
 def test_lyapunov_bound_miss_names_the_input_system(fig1_scenario,
                                                     monkeypatch):
-    # The stacked Lyapunov solve sees only the confined systems; its
-    # failure must still name the system by its input position.
-    base = fig1_scenario.system()
-    unconfined = dataclasses.replace(
-        base, params=nonconfining(base.params, base.drive))
+    # The stacked Lyapunov solve sees only the confined, stable drifts; a
+    # miss must still land in the slot of its own drive, and leave the
+    # other slots as they are.
+    base = fig1_scenario.system().drive
+    params = nonconfining(fig1_scenario.params, stronger(base))
+    blue = fig1_scenario.system(detuning=-1.0).drive
     monkeypatch.setattr(dynamics, "LYAPUNOV_RTOL", 1e-30)
-    with pytest.raises(ConvergenceError,
-                       match=r"matrix 1 of the stack") as err:
-        pipeline.steady_states([unconfined, fig1_scenario.system(detuning=1.0)])
-    assert err.value.residual > 0
+    unconfined, missed, unstable = pipeline.steady_states(
+        params, [stronger(base), base, blue])
+    assert isinstance(unconfined, UnstableSystemError)
+    assert "Omega~" in str(unconfined)
+    assert isinstance(missed, ConvergenceError) and missed.residual > 0
+    assert str(missed) == (f"Lyapunov residual {missed.residual:.3e} above "
+                           "bound 1e-30")
+    assert isinstance(unstable, UnstableSystemError)
+    assert "unstable" in str(unstable)
 
 
 def assert_same_point(got, want):

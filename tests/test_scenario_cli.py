@@ -223,8 +223,10 @@ def test_non_positive_numerics_rejected(tmp_path, capsys, key, value):
      "numerics.t_max_tau must be a finite number, not inf"),
     ("fig1_cw", "environment", "temperature", math.inf,
      "environment.temperature must be a finite number, not inf"),
+    ("fig2_sum", "numerics", "store_per_period", True,
+     "numerics.store_per_period must be a number, not True"),
 ], ids=["word_horizon", "word_in_pair", "scalar_offsets", "fractional_steps",
-        "infinite_horizon", "infinite_temperature"])
+        "infinite_horizon", "infinite_temperature", "boolean_store"])
 def test_malformed_scalars_are_config_errors(tmp_path, capsys, name, section,
                                              key, value, message):
     with open(shipped_scenario(name)) as fh:
@@ -238,6 +240,24 @@ def test_malformed_scalars_are_config_errors(tmp_path, capsys, name, section,
 def test_missing_file_is_config_error(tmp_path, capsys):
     assert cli.main(["validate", "--scenario",
                      str(tmp_path / "nope.yaml")]) == cli.EXIT_CONFIG
+
+
+def test_boolean_quality_is_not_a_number(tmp_path, capsys):
+    doc = base_doc()
+    doc["objects"][0]["mechanical_quality"] = True
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_CONFIG
+    assert ("objects[0].mechanical_quality must be a number, not True"
+            in capsys.readouterr().err)
+
+
+def test_out_naming_a_file_is_an_argument_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli.main(["validate", "--scenario",
+                     str(shipped_scenario("fig1_cw")),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 VERBS = ("validate", "steady", "evolve", "sweep", "effective")
@@ -278,6 +298,14 @@ def test_steady_unstable_exit_code(tmp_path, capsys):
     doc["drive"]["detunings_omega1_units"] = [-1.0, -1.0]
     path = write_scenario(tmp_path, doc)
     assert cli.main(["steady", "--scenario", str(path)]) == cli.EXIT_UNSTABLE
+
+
+def test_steady_at_zero_detuning_names_the_residual(tmp_path, capsys):
+    doc = base_doc()
+    doc["drive"]["detunings_omega1_units"] = [0.0, 0.0]
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["steady", "--scenario", str(path)]) == cli.EXIT_NOCONV
+    assert "Lyapunov residual 3.4" in capsys.readouterr().err
 
 
 def test_evolve_csv_unmodulated_is_flat(tmp_path):
@@ -362,6 +390,33 @@ def test_sweep_keeps_unstable_rows_in_place(tmp_path, capsys):
                             rel_tol=1e-10)
 
 
+def sweep_rows(tmp_path, capsys, values, code):
+    doc = base_doc()
+    doc["sweep"] = {"axis": "detuning", "values": values}
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["sweep", "--scenario", str(path)]) == code
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+def test_sweep_marks_a_lyapunov_miss_unconverged(tmp_path, capsys):
+    # Detuning 0 is stable but its Lyapunov residual misses the bound:
+    # only its own row fails, and the sweep exits 4.
+    rows = sweep_rows(tmp_path, capsys, [0.5, 0.0, 1.0], cli.EXIT_NOCONV)
+    assert [row.split(",")[-1] for row in rows] == \
+        ["stable", "unconverged", "stable"]
+    assert rows[1] == "0,,,,,unconverged"
+    assert [rows[0], rows[2]] == sweep_rows(tmp_path, capsys, [0.5, 1.0],
+                                            cli.EXIT_OK)
+
+
+def test_sweep_exit_4_wins_over_3(tmp_path, capsys):
+    # The unconverged row is neither the first nor the last failed row.
+    rows = sweep_rows(tmp_path, capsys, [-1.0, 0.0, -0.5, 1.0],
+                      cli.EXIT_NOCONV)
+    assert [row.split(",")[-1] for row in rows] == \
+        ["unstable", "unconverged", "unstable", "stable"]
+
+
 def test_sweep_derives_parameters_once(tmp_path, monkeypatch):
     # Detuning overrides change only the drive, so the parameters derived
     # at load serve every sweep point.
@@ -441,6 +496,17 @@ def test_validate_refuses_a_sweep_section_on_a_modulated_drive(tmp_path,
         assert "modulated" in err and "evolve" in err
     assert cli.main(["evolve", "--scenario", path,
                      "--out", str(tmp_path)]) == cli.EXIT_OK
+
+
+def test_validate_refuses_a_negative_control_fraction_sweep(tmp_path,
+                                                           capsys):
+    # validate predicts sweep: both refuse a negative drive amplitude.
+    doc = base_doc()
+    doc["sweep"] = {"axis": "control_fraction", "values": [0.02, -0.01]}
+    path = str(write_scenario(tmp_path, doc))
+    for verb in ("validate", "sweep"):
+        assert cli.main([verb, "--scenario", path]) == cli.EXIT_CONFIG
+        assert "sweep.values" in capsys.readouterr().err
 
 
 def test_effective_report_json(tmp_path):
