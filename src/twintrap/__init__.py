@@ -23,6 +23,7 @@ from .meanfield import (
     ConvergenceError,
     MeanTrajectory,
     integrate_means,
+    mean_windows,
     steady_means,
 )
 from .dynamics import (

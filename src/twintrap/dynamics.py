@@ -5,7 +5,10 @@ The fluctuations have one propagator: each step dt of a time-varying drift
 is the affine map V -> P V P^T + Q of ``_step_maps``, with P the diagonal
 Pade exponential of the fourth-order Magnus exponent.  ``evolve_covariance``
 composes these maps per stored interval and ``monodromy`` multiplies their
-P; both build them in stacks, ``PROPAGATOR_CHUNK`` steps at a time.
+P; both build them in stacks, ``PROPAGATOR_CHUNK`` steps at a time, in one
+set of scratch reused from chunk to chunk.  A ``DriftGrid`` feeds them the
+drift of a stream of mean-field windows (``meanfield.mean_windows``), one
+chunk at a time, so a long run holds neither its means nor its drift whole.
 
 State ordering throughout: u = (x1, p1, x2, p2, X1, Y1, X2, Y2), mechanical
 quadratures first, then the two control-mode quadratures.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -311,22 +315,38 @@ def drift_samples(traj: MeanTrajectory, params: DerivedParams) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+def chunk_steps(stride: int) -> int:
+    """Steps per stacked pass of the propagator at a store stride: whole
+    intervals of ``stride`` steps, about ``PROPAGATOR_CHUNK`` of them."""
+    return max(1, PROPAGATOR_CHUNK // stride) * stride
+
+
 class DriftGrid:
-    """Read-only view of ``drift_samples(means, params)`` that assembles a
-    window's drift only when sliced, so the half-step grid of a long run is
-    never held whole; ``evolve_covariance`` and ``monodromy`` read it one
-    chunk at a time."""
+    """The half-step drift grid of a stream of mean-field windows
+    (``meanfield.mean_windows``), which ``evolve_covariance`` reads one
+    window per propagator chunk, so neither the means nor the drift of a
+    long run are held whole.
 
-    means: MeanTrajectory
-    params: DerivedParams
+    ``shape`` is that of the whole grid, (n_samples, 8, 8).  Each slice
+    must be the next window, which starts at the last sample of the one
+    before; any other read raises ``ValueError``.
+    """
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (len(self.means), 8, 8)
+    def __init__(self, windows: Iterable[MeanTrajectory], n_samples: int,
+                 params: DerivedParams):
+        self.shape = (n_samples, 8, 8)
+        self._windows = iter(windows)
+        self._params = params
+        self._start = 0
 
-    def __getitem__(self, index) -> np.ndarray:
-        return drift_samples(self.means[index], self.params)
+    def __getitem__(self, index: slice) -> np.ndarray:
+        means = next(self._windows, None)
+        if means is None or index != slice(self._start, self._start + len(means)):
+            raise ValueError(
+                f"DriftGrid streams its windows in order: slice {index} asked "
+                f"for, the next window starts at sample {self._start}")
+        self._start += len(means) - 1
+        return drift_samples(means, self._params)
 
 
 def _pade_inverse(m: np.ndarray, n: np.ndarray, first: int,
@@ -360,19 +380,31 @@ def _pade_inverse(m: np.ndarray, n: np.ndarray, first: int,
     return m_inv
 
 
-def _rk4_noise(b_mid: np.ndarray, b_end: np.ndarray,
-               d: np.ndarray) -> np.ndarray:
+def _rk4_noise(b_mid: np.ndarray, b_end: np.ndarray, d: np.ndarray,
+               out: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """S of the RK4 step of V' = A V + V A^T + D from V = 0, which is
     dt D + (dt/6)(S + S^T), given B_m = (dt/2) A_m and B_1 = dt A_1 (the
-    first stage does not read the drift)."""
-    m2 = b_mid @ d
-    m3 = b_mid @ (m2 + m2.swapaxes(1, 2) + d)
-    m4 = b_end @ (m3 + m3.swapaxes(1, 2) + d)
-    return 2.0 * (m2 + m3) + m4
+    first stage does not read the drift).  Written to ``out``; ``t1`` and
+    ``t2`` are scratch."""
+    m2 = np.matmul(b_mid, d, out=t1)
+    np.add(m2, m2.swapaxes(1, 2), out=t2)
+    t2 += d
+    m3 = np.matmul(b_mid, t2, out=out)
+    np.add(m3, m3.swapaxes(1, 2), out=t2)
+    t2 += d
+    s = np.add(m2, m3, out=out)
+    s *= 2.0
+    s += np.matmul(b_end, t2, out=t1)    # m4
+    return s
+
+
+#: Scratch arrays (m, n, n) that ``_step_maps`` takes for m steps.
+_STEP_SLOTS = 9
 
 
 def _step_maps(a: np.ndarray, dt: float, d: np.ndarray | None = None,
-               first: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+               first: int = 0, work: list[np.ndarray] | None = None
+               ) -> tuple[np.ndarray, np.ndarray | None]:
     """Pade-Magnus affine maps V -> P V P^T + Q of consecutive steps dt.
 
     ``a`` holds the steps' drift samples on the half-step grid (2m + 1 for
@@ -385,63 +417,98 @@ def _step_maps(a: np.ndarray, dt: float, d: np.ndarray | None = None,
     covariance of a constant drift exactly stationary, plus
     Q_RK4(A_0, A_m, A_1) - Q_RK4(A, A, A) with A = Omega/dt, which keeps Q
     fourth order for a drift that varies.  A step with a non-finite drift
-    gets NaN maps.  Returns P (m, n, n) and Q (m, n, n) or None.
+    gets NaN maps.  Returns P (m, n, n) and Q (m, n, n) or None, both held
+    in ``work``: ``_STEP_SLOTS`` scratch arrays (>= m, n, n) that a caller
+    reuses across calls, so they last until its next use.
     """
+    m = a.shape[0] // 2
+    if work is None:
+        work = [np.empty((m,) + a.shape[1:]) for _ in range(_STEP_SLOTS)]
+    omega, half, even, numerator, p, q, s, x, r = (w[:m] for w in work)
     a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
-    omega = (dt / 6.0) * (a0 + 4.0 * am + a1) + (dt * dt / 12.0) * (a1 @ a0 - a0 @ a1)
+    np.multiply(4.0, am, out=omega)
+    omega += a0
+    omega += a1
+    omega *= dt / 6.0
+    np.matmul(a1, a0, out=s)
+    s -= np.matmul(a0, a1, out=x)
+    s *= dt * dt / 12.0
+    omega += s
     finite = np.isfinite(omega).all(axis=(1, 2))
     if not finite.all():
         omega[~finite] = 0.0
-    half = 0.5 * omega
-    even = np.eye(a.shape[-1]) + (omega @ omega) / 12.0
-    numerator = even + half
-    m_inv = _pade_inverse(even - half, numerator, first, dt)
-    p = m_inv @ numerator
-    q = None
+    np.multiply(0.5, omega, out=half)
+    np.matmul(omega, omega, out=even)
+    even /= 12.0
+    even += np.eye(a.shape[-1])
+    np.add(even, half, out=numerator)
+    even -= half
+    m_inv = _pade_inverse(even, numerator, first, dt)
+    np.matmul(m_inv, numerator, out=p)
     if d is not None:
-        x = dt * d + (dt / 12.0) * (omega @ d @ omega.swapaxes(1, 2))
-        x = m_inv @ x @ m_inv.swapaxes(1, 2)
+        np.matmul(omega, d, out=s)
+        np.matmul(s, omega.swapaxes(1, 2), out=x)
+        x *= dt / 12.0
+        x += dt * d
+        np.matmul(m_inv, x, out=s)
+        np.matmul(s, m_inv.swapaxes(1, 2), out=x)
         # Q_RK4(A_0, A_m, A_1) - Q_RK4(A, A, A) = (dt/6)(E + E^T) with
         # E = S - S^; adding (dt/3) E is the same once ``q`` is symmetrized.
-        x += (dt / 3.0) * (_rk4_noise(0.5 * dt * am, dt * a1, d)
-                           - _rk4_noise(half, omega, d))
-        q = 0.5 * (x + x.swapaxes(1, 2))
+        _rk4_noise(np.multiply(0.5 * dt, am, out=even),
+                   np.multiply(dt, a1, out=numerator), d, s, q, r)
+        s -= _rk4_noise(half, omega, d, q, even, numerator)
+        s *= dt / 3.0
+        x += s
+        np.add(x, x.swapaxes(1, 2), out=q)
+        q *= 0.5
         q[~finite] = np.nan
     p[~finite] = np.nan
-    return p, q
+    return p, (q if d is not None else None)
 
 
 def _interval_maps(a_half, dt: float, stride: int, d: np.ndarray | None = None):
     """Yield the maps (P, Q) of consecutive intervals of ``stride`` steps,
-    stacked per chunk of about ``PROPAGATOR_CHUNK`` steps; Q is None when
+    stacked per chunk of ``chunk_steps(stride)`` steps; Q is None when
     ``d`` is None.
 
-    ``a_half`` is sliced one chunk at a time, so a ``DriftGrid`` assembles
-    only that chunk's drift.  Steps past the last whole interval are not
-    taken.  Within an interval the step maps compose in order as
-    (P, Q) o (P', Q') = (P P', sym(P Q' P^T) + Q).
+    ``a_half`` is sliced one chunk at a time, in order, so a ``DriftGrid``
+    assembles only that chunk's drift.  Steps past the last whole interval
+    are not taken.  Within an interval the step maps compose in order as
+    (P, Q) o (P', Q') = (P P', sym(P Q' P^T) + Q).  One set of scratch
+    serves every chunk; the yielded maps are copies of it.
     """
     n = a_half.shape[-1]
     n_intervals = (a_half.shape[0] - 1) // 2 // stride
-    per_chunk = max(1, PROPAGATOR_CHUNK // stride)
+    per_chunk = chunk_steps(stride) // stride
+    size = min(per_chunk, n_intervals)
+    # One array per slot: freeing them as one block raised the allocator's
+    # trim threshold, and a 160 tau fig2_sum evolve kept 3 MiB more RSS
+    # through its output.
+    work = [np.empty((size * stride, n, n)) for _ in range(_STEP_SLOTS)]
+    composed = np.empty((4, size, n, n))
     for i in range(0, n_intervals, per_chunk):
         j = min(i + per_chunk, n_intervals)
         a = np.asarray(a_half[2 * i * stride:2 * j * stride + 1], dtype=float)
-        p, q = _step_maps(a, dt, d, first=i * stride)
+        p, q = _step_maps(a, dt, d, first=i * stride, work=work)
         if stride > 1:
             p = p.reshape(j - i, stride, n, n)
+            p_acc, q_acc, x, y = composed[:, :j - i]
             if q is not None:
                 q = q.reshape(j - i, stride, n, n)
                 acc = q[:, 0]
                 for s in range(1, stride):
-                    x = p[:, s] @ acc @ p[:, s].swapaxes(1, 2)
-                    acc = 0.5 * (x + x.swapaxes(1, 2)) + q[:, s]
+                    np.matmul(p[:, s], acc, out=x)
+                    np.matmul(x, p[:, s].swapaxes(1, 2), out=y)
+                    acc = np.add(y, y.swapaxes(1, 2), out=q_acc)
+                    acc *= 0.5
+                    acc += q[:, s]
                 q = acc
             acc = p[:, 0]
             for s in range(1, stride):
-                acc = p[:, s] @ acc
+                # Alternate two buffers: matmul may not write over its input.
+                acc = np.matmul(p[:, s], acc, out=(p_acc, x)[s % 2])
             p = acc
-        yield p, q
+        yield p.copy(), (None if q is None else q.copy())
 
 
 def _check_half_grid(a_half) -> None:
@@ -456,10 +523,11 @@ def evolve_covariance(v0: np.ndarray, a_half, d: np.ndarray,
 
     ``a_half`` holds drift matrices on the half-step grid: 2N + 1 samples at
     spacing dt/2 for N steps.  It may be an array (``np.broadcast_to``
-    serves a constant drift) or a ``DriftGrid``, which assembles the drift
-    of one chunk at a time.  Each step is the Pade-Magnus affine map of
-    ``_step_maps``; the maps of a stored interval are composed in stacks,
-    and one loop over the stored samples applies them as
+    serves a constant drift) or a ``DriftGrid``, which integrates the means
+    and assembles their drift one chunk at a time.  Each step is the
+    Pade-Magnus affine map of ``_step_maps``; the maps of a stored interval
+    are composed in stacks, and one loop over the stored samples applies
+    them as
     V <- sym(P V P^T) + Q, so every stored V is exactly symmetric.  For a
     constant drift the steady covariance is a fixed point to rounding.
     A non-finite covariance, or one whose norm exceeds 1e6 x the initial

@@ -3,8 +3,9 @@
 The linearized fluctuation dynamics is parameterized by the effective
 detunings Delta_i, the effective couplings G_ij = <a_i>(Gl_ij + 2 Gq_ij <x_j>)
 and the shifted trap frequencies Omega~_j.  This module solves the CW fixed
-point and integrates the driven mean-field equations; both return a
-``MeanTrajectory``, the one mean-state type.
+point and integrates the driven mean-field equations, whole or in
+consecutive windows; all return a ``MeanTrajectory``, the one mean-state
+type.
 """
 
 from __future__ import annotations
@@ -203,22 +204,27 @@ def _scalar_rhs(params: DerivedParams, bare: np.ndarray):
     return rhs
 
 
-def integrate_means(params: DerivedParams, drive: DriveSpec,
-                    t_span: tuple[float, float], dt: float,
-                    initial: MeanTrajectory | None = None) -> MeanTrajectory:
-    """Fixed-step RK4 integration of the coherent dynamics, sampled at dt/2.
+def mean_windows(params: DerivedParams, drive: DriveSpec,
+                 t_span: tuple[float, float], dt: float,
+                 initial: MeanTrajectory | None = None,
+                 window_steps: int | None = None):
+    """Fixed-step RK4 integration of the coherent dynamics, sampled at dt/2
+    and yielded in consecutive windows.
 
-    Takes N RK4 steps of dt (rounded so that whole steps span ``t_span``)
-    and returns the half-step grid of 2N + 1 samples at spacing dt/2 that a
-    step dt of the fluctuations reads: even samples are the RK4 states,
-    odd samples the cubic Hermite midpoints
+    Takes N RK4 steps of dt (rounded so that whole steps span ``t_span``).
+    Together the windows form the half-step grid of 2N + 1 samples at
+    spacing dt/2 that a step dt of the fluctuations reads: even samples are
+    the RK4 states, odd samples the cubic Hermite midpoints
     (y_k + y_{k+1}) / 2 + dt / 8 (f_k - f_{k+1}) built from the slopes at the
     step ends.  Those slopes are each step's first RK4 stage, so the grid
     costs 4N + 1 RHS evaluations; the midpoints are fourth order, like the
-    steps.  Starts from the CW fixed point of the unmodulated drive unless
+    steps.  Each window covers ``window_steps`` steps (the last one fewer),
+    or all N when it is None, and shares its end sample with the next.
+    Between windows only the state, the drive at the last step end and the
+    slope there are carried, so the samples do not depend on the window
+    length.  Starts from the CW fixed point of the unmodulated drive unless
     an explicit initial point is given.  The state is carried as Python
-    floats; the drive at the end of one step is reused at the start of the
-    next.
+    floats.
     """
     if initial is None:
         initial = steady_means(params, drive.unmodulated())
@@ -235,55 +241,67 @@ def integrate_means(params: DerivedParams, drive: DriveSpec,
     sixth = dt / 6
 
     y0, y1, y2, y3, y4, y5, y6, y7 = initial.y.tolist()
-    ys = np.empty((2 * n_steps + 1, 8))
-    slopes = np.empty((n_steps + 1, 8))
-    ys[0] = y0, y1, y2, y3, y4, y5, y6, y7
     cos_end = cos(w * t0)
-    for k in range(n_steps):
-        t = t0 + dt * k
-        cos_start = cos_end
-        cos_mid = cos(w * (t + half))
-        cos_end = cos(w * (t + dt))
-        e1, e2 = c1 + m1 * cos_mid, c2 + m2 * cos_mid
-        f = rhs(c1 + m1 * cos_start, c2 + m2 * cos_start,
-                y0, y1, y2, y3, y4, y5, y6, y7)
-        slopes[k] = f
-        f0, f1, f2, f3, f4, f5, f6, f7 = f
-        g0, g1, g2, g3, g4, g5, g6, g7 = rhs(
-            e1, e2, y0 + half * f0, y1 + half * f1, y2 + half * f2,
-            y3 + half * f3, y4 + half * f4, y5 + half * f5, y6 + half * f6,
-            y7 + half * f7)
-        h0, h1, h2, h3, h4, h5, h6, h7 = rhs(
-            e1, e2, y0 + half * g0, y1 + half * g1, y2 + half * g2,
-            y3 + half * g3, y4 + half * g4, y5 + half * g5, y6 + half * g6,
-            y7 + half * g7)
-        j0, j1, j2, j3, j4, j5, j6, j7 = rhs(
-            c1 + m1 * cos_end, c2 + m2 * cos_end,
-            y0 + dt * h0, y1 + dt * h1, y2 + dt * h2, y3 + dt * h3,
-            y4 + dt * h4, y5 + dt * h5, y6 + dt * h6, y7 + dt * h7)
-        y0 += sixth * (f0 + 2 * g0 + 2 * h0 + j0)
-        y1 += sixth * (f1 + 2 * g1 + 2 * h1 + j1)
-        y2 += sixth * (f2 + 2 * g2 + 2 * h2 + j2)
-        y3 += sixth * (f3 + 2 * g3 + 2 * h3 + j3)
-        y4 += sixth * (f4 + 2 * g4 + 2 * h4 + j4)
-        y5 += sixth * (f5 + 2 * g5 + 2 * h5 + j5)
-        y6 += sixth * (f6 + 2 * g6 + 2 * h6 + j6)
-        y7 += sixth * (f7 + 2 * g7 + 2 * h7 + j7)
-        ys[2 * k + 2] = y0, y1, y2, y3, y4, y5, y6, y7
-    slopes[n_steps] = rhs(c1 + m1 * cos_end, c2 + m2 * cos_end,
-                          y0, y1, y2, y3, y4, y5, y6, y7)
+    f = rhs(c1 + m1 * cos_end, c2 + m2 * cos_end,
+            y0, y1, y2, y3, y4, y5, y6, y7)
+    per_window = window_steps or n_steps
+    for first in range(0, n_steps, per_window):
+        last = min(first + per_window, n_steps)
+        ys = np.empty((2 * (last - first) + 1, 8))
+        slopes = np.empty((last - first + 1, 8))
+        ys[0] = y0, y1, y2, y3, y4, y5, y6, y7
+        slopes[0] = f
+        for k in range(first, last):
+            t = t0 + dt * k
+            cos_mid = cos(w * (t + half))
+            cos_end = cos(w * (t + dt))
+            e1, e2 = c1 + m1 * cos_mid, c2 + m2 * cos_mid
+            f0, f1, f2, f3, f4, f5, f6, f7 = f
+            g0, g1, g2, g3, g4, g5, g6, g7 = rhs(
+                e1, e2, y0 + half * f0, y1 + half * f1, y2 + half * f2,
+                y3 + half * f3, y4 + half * f4, y5 + half * f5,
+                y6 + half * f6, y7 + half * f7)
+            h0, h1, h2, h3, h4, h5, h6, h7 = rhs(
+                e1, e2, y0 + half * g0, y1 + half * g1, y2 + half * g2,
+                y3 + half * g3, y4 + half * g4, y5 + half * g5,
+                y6 + half * g6, y7 + half * g7)
+            e1, e2 = c1 + m1 * cos_end, c2 + m2 * cos_end
+            j0, j1, j2, j3, j4, j5, j6, j7 = rhs(
+                e1, e2, y0 + dt * h0, y1 + dt * h1, y2 + dt * h2,
+                y3 + dt * h3, y4 + dt * h4, y5 + dt * h5, y6 + dt * h6,
+                y7 + dt * h7)
+            y0 += sixth * (f0 + 2 * g0 + 2 * h0 + j0)
+            y1 += sixth * (f1 + 2 * g1 + 2 * h1 + j1)
+            y2 += sixth * (f2 + 2 * g2 + 2 * h2 + j2)
+            y3 += sixth * (f3 + 2 * g3 + 2 * h3 + j3)
+            y4 += sixth * (f4 + 2 * g4 + 2 * h4 + j4)
+            y5 += sixth * (f5 + 2 * g5 + 2 * h5 + j5)
+            y6 += sixth * (f6 + 2 * g6 + 2 * h6 + j6)
+            y7 += sixth * (f7 + 2 * g7 + 2 * h7 + j7)
+            # The slope at the step end is the next step's first stage.
+            f = rhs(e1, e2, y0, y1, y2, y3, y4, y5, y6, y7)
+            r = k - first + 1
+            ys[2 * r] = y0, y1, y2, y3, y4, y5, y6, y7
+            slopes[r] = f
 
-    # Hermite midpoints, formed in place in the odd rows: full-size
-    # temporaries here raised the peak RSS of a 160 tau fig2_sum evolve by
-    # 5 MiB.
-    mid = ys[1::2]
-    np.subtract(slopes[:-1], slopes[1:], out=mid)
-    mid *= dt / 4
-    mid += ys[:-1:2]
-    mid += ys[2::2]
-    mid *= 0.5
-    ts = t0 + half * np.arange(2 * n_steps + 1)
-    return MeanTrajectory.from_state(params, ts, ys, bare)
+        # Hermite midpoints, formed in place in the odd rows.
+        mid = ys[1::2]
+        np.subtract(slopes[:-1], slopes[1:], out=mid)
+        mid *= dt / 4
+        mid += ys[:-1:2]
+        mid += ys[2::2]
+        mid *= 0.5
+        ts = t0 + half * np.arange(2 * first, 2 * last + 1)
+        yield MeanTrajectory.from_state(params, ts, ys, bare)
+
+
+def integrate_means(params: DerivedParams, drive: DriveSpec,
+                    t_span: tuple[float, float], dt: float,
+                    initial: MeanTrajectory | None = None) -> MeanTrajectory:
+    """The whole half-step grid of ``mean_windows`` (its one-window case):
+    2N + 1 samples at spacing dt/2 for N RK4 steps of dt."""
+    (means,) = mean_windows(params, drive, t_span, dt, initial)
+    return means
 
 
 def fixed_point_residual(params: DerivedParams, drive: DriveSpec,

@@ -119,9 +119,11 @@ def evolve(system: System, t_max_tau: float,
     covariance takes Pade-Magnus steps of the same dt
     (``dynamics.evolve_covariance``), which read the drift at the ends and
     midpoint of each step on the means' half-step grid; the midpoints are
-    Hermite values, not RHS stages.  The drift is assembled one chunk of
-    steps at a time (``dynamics.DriftGrid``), never for the whole run.  The
-    period is the drive's, or tau for an unmodulated drive.  Storage is
+    Hermite values, not RHS stages.  The means are integrated one
+    propagator chunk at a time (``meanfield.mean_windows``) and turned into
+    that chunk's drift (``dynamics.DriftGrid``), so the working memory is
+    one chunk plus the stored samples, whatever the horizon.  The period is
+    the drive's, or tau for an unmodulated drive.  Storage is
     aligned to it, so the quasi-steady orbit is exactly the last period of
     stored samples.
     """
@@ -141,14 +143,14 @@ def evolve(system: System, t_max_tau: float,
     n_steps = n_periods * steps_per_period
 
     wp0 = meanfield.steady_means(p, drv.unmodulated())
-    means = meanfield.integrate_means(p, drv, (0.0, n_steps * dt), dt,
-                                      initial=wp0)
     d = dynamics.build_diffusion(p)
-
     v0 = dynamics.lyapunov_steady(dynamics.drift_samples(wp0, p), d)
-    traj = dynamics.evolve_covariance(v0, dynamics.DriftGrid(means, p), d, dt,
-                                      store_stride=store_stride)
-    del means   # free the half-step grid before the stacked analysis
+    windows = meanfield.mean_windows(
+        p, drv, (0.0, n_steps * dt), dt, initial=wp0,
+        window_steps=dynamics.chunk_steps(store_stride))
+    traj = dynamics.evolve_covariance(
+        v0, dynamics.DriftGrid(windows, 2 * n_steps + 1, p), d, dt,
+        store_stride=store_stride)
     orbit = dynamics.quasi_steady_orbit(traj, steps_per_period // store_stride)
 
     eta, en, nb1, nb2 = gaussian.measures(traj.v)

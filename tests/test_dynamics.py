@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -460,26 +461,75 @@ def test_monodromy_is_the_ordered_product_of_step_maps():
     assert np.array_equal(monodromy(a_half, dt), phi)
 
 
+def drift_stream(system, n_steps, dt, window_steps):
+    """A ``DriftGrid`` over ``mean_windows`` from the CW point, as
+    ``pipeline.evolve`` builds it."""
+    p, drv = system.params, system.drive
+    windows = meanfield.mean_windows(
+        p, drv, (0.0, n_steps * dt), dt,
+        initial=meanfield.steady_means(p, drv.unmodulated()),
+        window_steps=window_steps)
+    return dynamics.DriftGrid(windows, 2 * n_steps + 1, p)
+
+
 def test_streamed_drift_matches_materialized_grid(fig2_sum_scenario,
                                                   monkeypatch):
     system = fig2_sum_scenario.system()
     p, drv = system.params, system.drive
     dt = 2 * math.pi / drv.mod_frequency / 64
     wp0 = meanfield.steady_means(p, drv.unmodulated())
-    means = meanfield.integrate_means(p, drv, (0.0, 200 * dt), dt,
-                                      initial=wp0)
-    grid = dynamics.DriftGrid(means, p)
-    whole = drift_samples(means, p)
-    assert grid.shape == whole.shape
+    whole = drift_samples(meanfield.integrate_means(
+        p, drv, (0.0, 200 * dt), dt, initial=wp0), p)
     d = build_diffusion(p)
     v0 = lyapunov_steady(drift_samples(wp0, p), d)
     # Chunks of 18 steps (6 stored intervals) cut the run at many places.
     monkeypatch.setattr(dynamics, "PROPAGATOR_CHUNK", 20)
+    grid = drift_stream(system, 200, dt, dynamics.chunk_steps(3))
+    assert grid.shape == whole.shape
     streamed = evolve_covariance(v0, grid, d, dt, store_stride=3)
     held = evolve_covariance(v0, whole, d, dt, store_stride=3)
     assert np.array_equal(streamed.t, held.t)
     assert np.array_equal(streamed.v, held.v)
+    grid = drift_stream(system, 200, dt, dynamics.chunk_steps(1))
     assert np.array_equal(monodromy(grid, dt), monodromy(whole, dt))
+
+
+def test_streamed_drift_refuses_an_out_of_order_read(fig2_sum_scenario):
+    # Windows of 4 steps: samples 0:9, 8:17 and 16:21.
+    system = fig2_sum_scenario.system()
+    dt = 2 * math.pi / system.drive.mod_frequency / 64
+    whole = drift_samples(meanfield.integrate_means(
+        system.params, system.drive, (0.0, 10 * dt), dt), system.params)
+    grid = drift_stream(system, 10, dt, 4)
+    with pytest.raises(ValueError, match="in order"):
+        grid[8:17]                   # skips the first window
+    grid = drift_stream(system, 10, dt, 4)
+    assert np.array_equal(grid[0:9], whole[0:9])
+    with pytest.raises(ValueError, match="in order"):
+        grid[0:9]                    # reads the first window again
+    grid = drift_stream(system, 10, dt, 4)
+    for window in (slice(0, 9), slice(8, 17), slice(16, 21)):
+        assert np.array_equal(grid[window], whole[window])
+    with pytest.raises(ValueError, match="in order"):
+        grid[20:21]                  # past the last window
+
+
+@pytest.mark.slow
+def test_evolve_memory_does_not_grow_with_the_horizon(fig2_sum_scenario):
+    # Only the stored covariances may grow with the run: the means and the
+    # drift are held one chunk at a time.  A run that holds its whole
+    # half-step grid grows the peak about 4.9x as fast as the stored samples.
+    def traced_peak(t_max_tau):
+        tracemalloc.start()
+        try:
+            run = pipeline.evolve(fig2_sum_scenario.system(), t_max_tau)
+            return tracemalloc.get_traced_memory()[1], run.cov.v.nbytes
+        finally:
+            tracemalloc.stop()
+
+    short_peak, short_cov = traced_peak(2.5)
+    long_peak, long_cov = traced_peak(10.0)
+    assert long_peak - short_peak <= 2 * (long_cov - short_cov)
 
 
 def test_fourth_order_convergence_sinusoidal_drift():

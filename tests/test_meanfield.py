@@ -13,7 +13,7 @@ from twintrap.dynamics import drift_samples
 from twintrap.meanfield import (ConvergenceError, MeanTrajectory,
                                 UnstableSystemError,
                                 fixed_point_residual, integrate_means,
-                                steady_means)
+                                mean_windows, steady_means)
 from twintrap.scenario import parse_scenario, shipped_scenario
 
 
@@ -351,6 +351,22 @@ def test_drift_is_the_mean_field_jacobian():
     drift = drift_samples(point, p)
     assert np.max(np.abs(s[:, None] * jac / s[None, :] - drift)) \
         < 1e-10 * np.max(np.abs(drift))
+
+
+def test_windows_stitch_into_the_whole_grid(fig2_sum_scenario):
+    # 100 steps in windows of 7: the last window is 2 steps long.
+    system = fig2_sum_scenario.system()
+    p, drv = system.params, system.drive
+    dt = 2 * math.pi / drv.mod_frequency / 64
+    whole = integrate_means(p, drv, (0.0, 100 * dt), dt)
+    windows = list(mean_windows(p, drv, (0.0, 100 * dt), dt, window_steps=7))
+    assert [len(w) for w in windows] == [15] * 14 + [5]
+    for field in ("t", "y", "detuning", "coupling", "omega_shifted"):
+        parts = [getattr(w, field) for w in windows]
+        stitched = np.concatenate([parts[0]] + [part[1:] for part in parts[1:]])
+        assert np.array_equal(stitched, getattr(whole, field)), field
+    for before, after in zip(windows, windows[1:]):
+        assert np.array_equal(before.y[-1], after.y[0])
 
 
 def test_hermite_midpoints_are_fourth_order():
