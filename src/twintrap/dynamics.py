@@ -61,14 +61,20 @@ PADE_GAIN_MAX = 1e8
 QUASI_STEADY_TOL = 1e-3
 
 #: Periodic-orbit shooting: relative residual |y(T) - y(0)| accepted as
-#: periodic, Newton iterations allowed per continuation step, and the
-#: smallest step in the modulation amplitude before giving up.
+#: periodic, Newton iterations allowed per solve, and the smallest step in
+#: the modulation amplitude that the fallback continuation takes before
+#: giving up (the shipped drives converge at the full amplitude).
 SHOOT_TOL = 1e-11
 SHOOT_NEWTON_CAP = 5
 SHOOT_MIN_STEP = 2.0 ** -8
 
 #: S of u = S y: the mean state's (Re a, Im a) scaled to quadratures (X, Y).
 _QUADRATURES = np.array([1.0, 1.0, 1.0, 1.0, SQRT2, SQRT2, SQRT2, SQRT2])
+
+
+def _on_state(m: np.ndarray) -> np.ndarray:
+    """S^-1 M S: a linear map of the quadratures u = S y as one of y."""
+    return m * _QUADRATURES[None, :] / _QUADRATURES[:, None]
 
 
 class BlowupError(RuntimeError):
@@ -616,15 +622,31 @@ class PeriodicOrbit:
     residual: float          # relative shooting residual |y(T) - y(0)|
 
 
-def _shoot(params: DerivedParams, drive: DriveSpec, y: np.ndarray,
-           bare: np.ndarray, n_steps: int):
-    """Newton iterations on y(T) = y(0) from the guess ``y``.
-
-    Returns (orbit, monodromy, residual); the orbit is None when the
-    iterations do not converge or an iterate goes non-finite.
+def _linear_response(params: DerivedParams, drive: DriveSpec,
+                     cw: MeanTrajectory) -> np.ndarray:
+    """First-order response dy(0) of the CW point ``cw`` to the drive's
+    modulation: Re[(i w_D - J)^-1 b], with b the modulation amplitudes on
+    the rows of Re a_1 and Re a_2, and J = S^-1 A S the mean-field Jacobian
+    in y coordinates (A, the fluctuation drift at ``cw``, is the Jacobian
+    in the quadratures u = S y).  With z = u + i v it is solved as the real
+    system [[-J, -w_D I], [w_D I, -J]] [u; v] = [b; 0], and dy(0) = u.
     """
-    period = 2 * math.pi / drive.mod_frequency
-    dt = period / n_steps
+    w = drive.mod_frequency
+    jac = _on_state(drift_samples(cw, params))
+    rot = w * np.eye(8)
+    rhs = np.zeros(16)
+    rhs[4], rhs[6] = drive.mod_amplitudes
+    return np.linalg.solve(np.block([[-jac, -rot], [rot, -jac]]), rhs)[:8]
+
+
+def _shoot(params: DerivedParams, drive: DriveSpec, y: np.ndarray,
+           bare: np.ndarray, period: float, dt: float):
+    """Newton iterations on y(T) = y(0) from the guess ``y``, with RK4
+    steps dt over the period T.
+
+    Returns (orbit, residual); the orbit is None when the iterations do
+    not converge or an iterate goes non-finite.
+    """
     # A diverging iterate may overflow; it shows as a non-finite residual.
     with np.errstate(all="ignore"):
         for it in range(SHOOT_NEWTON_CAP + 1):
@@ -634,19 +656,18 @@ def _shoot(params: DerivedParams, drive: DriveSpec, y: np.ndarray,
             gap = means.y[-1] - y
             residual = float(np.max(np.abs(gap)) / max(np.max(np.abs(y)), 1.0))
             if not math.isfinite(residual):
-                return None, None, math.inf
+                return None, math.inf
             if residual < SHOOT_TOL:
-                return means, monodromy(drift_samples(means, params), dt), residual
+                return means, residual
             if it == SHOOT_NEWTON_CAP:
                 break
             # Newton on the period map; in y coordinates its Jacobian is S^-1 Phi S.
-            phi = monodromy(drift_samples(means, params), dt)
-            jac = phi * _QUADRATURES[None, :] / _QUADRATURES[:, None] - np.eye(8)
+            jac = _on_state(monodromy(drift_samples(means, params), dt)) - np.eye(8)
             try:
                 y = y - np.linalg.solve(jac, gap)
             except np.linalg.LinAlgError:
                 break
-    return None, None, residual
+    return None, residual
 
 
 def periodic_orbit(params: DerivedParams, drive: DriveSpec,
@@ -659,25 +680,35 @@ def periodic_orbit(params: DerivedParams, drive: DriveSpec,
     step dt of the fluctuations.  The Newton Jacobian of the period map is
     the ``monodromy`` of the linearized drift, which is the fluctuation
     drift; it agrees with the RK4 map's Jacobian to the order of the step.
-    The modulation amplitudes are continued from 0, where the CW fixed
-    point is the orbit, to their full value: each step is tried whole and
-    halved while Newton fails to converge within ``SHOOT_NEWTON_CAP``
-    iterations.  Raises ``ConvergenceError`` (with the last residual) when
-    the step falls below ``SHOOT_MIN_STEP``, and ``UnstableSystemError``
-    when the converged orbit is not attracting (rho(Phi) >= 1).
+    Newton starts from the CW point's linear response to the modulation
+    (``_linear_response``), the orbit's first order in the modulation
+    amplitudes.  Should it fail to converge within ``SHOOT_NEWTON_CAP``
+    iterations, the amplitudes are continued in halved steps: from 0,
+    where the CW point is the orbit, each step starts from that point plus
+    its share of the linear response; from a converged fraction it starts
+    from that fraction's orbit.  Raises ``ConvergenceError`` (with the last
+    residual) when the step falls below ``SHOOT_MIN_STEP``, and
+    ``UnstableSystemError`` when the converged orbit is not attracting
+    (rho(Phi) >= 1).
     """
     if drive.mod_frequency <= 0:
         raise ValueError("periodic_orbit requires a modulated drive")
-    n_steps = max(1, round(2 * math.pi / drive.mod_frequency / dt))
+    period = 2 * math.pi / drive.mod_frequency
+    dt = period / max(1, round(period / dt))
     cw = steady_means(params, drive.unmodulated())
+    response = _linear_response(params, drive, cw)
     y = cw.y
     done, step = 0.0, 1.0
     while True:
         target = min(1.0, done + step)
         scaled = replace(drive, mod_amplitudes=tuple(
             target * e for e in drive.mod_amplitudes))
-        means, phi, residual = _shoot(params, scaled, y, cw.bare_detuning,
-                                      n_steps)
+        # The response is the first order about the CW point only; added
+        # to a converged orbit it cost up to a fifth more integrations
+        # than that orbit alone near omega_D = (Omega_1 + Omega_2) / 2.
+        guess = y if done else y + target * response
+        means, residual = _shoot(params, scaled, guess, cw.bare_detuning,
+                                 period, dt)
         if means is None:
             step /= 2
             if step < SHOOT_MIN_STEP:
@@ -689,6 +720,7 @@ def periodic_orbit(params: DerivedParams, drive: DriveSpec,
         y = means.y[0]
         if done == 1.0:
             break
+    phi = monodromy(drift_samples(means, params), dt)
     rho = float(np.max(np.abs(np.linalg.eigvals(phi))))
     if not rho < 1.0:
         raise UnstableSystemError(

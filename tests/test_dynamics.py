@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -607,9 +608,10 @@ def test_periodic_orbit_is_the_attractor(fig3_scenario):
 
 @pytest.mark.slow
 def test_periodic_orbit_near_resonant_drive(fig2_half_scenario):
-    # omega_D = Omega_1: plain Newton leaves the basin here, so the orbit
-    # needs the amplitude continuation.  After 500 periods the plain
-    # integration is still ~1e-6 short of periodic (rho ~ 0.97).
+    # omega_D = Omega_1: Newton from the bare CW point leaves the basin
+    # here; from the CW point's linear response it converges at the full
+    # amplitude.  After 500 periods the plain integration is still ~1e-6
+    # short of periodic (rho ~ 0.97).
     system = fig2_half_scenario.system()
     orbit, dt = orbit_and_step(system)
     assert orbit.rho < 1.0
@@ -674,3 +676,112 @@ def test_stalled_shooting_raises_with_residual(fig2_sum_scenario, monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         orbit_and_step(fig2_sum_scenario.system())
     assert math.isfinite(err.value.residual) and err.value.residual > 0
+
+
+def bare_start(monkeypatch):
+    """Start every shooting level from the CW point or the last converged
+    orbit alone, without the linear response."""
+    monkeypatch.setattr(dynamics, "_linear_response",
+                        lambda params, drive, cw: np.zeros(8))
+
+
+def at_sum_fraction(system, fraction):
+    """The system with omega_D = fraction x (Omega_1 + Omega_2)."""
+    total = float(system.params.omega_mech.sum())
+    return replace(system, drive=replace(system.drive,
+                                         mod_frequency=fraction * total))
+
+
+def count_integrations(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return meanfield.integrate_means(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_means", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, most", [("fig2_half", 4), ("fig2_sum", 3),
+                                        ("fig3_nanosphere", 5)])
+def test_periodic_orbit_integration_count(name, most, monkeypatch):
+    # Newton from the linear response needs no continuation level; from
+    # the bare CW point fig2_half took 16 period integrations.
+    calls = count_integrations(monkeypatch)
+    orbit_and_step(load_scenario(shipped_scenario(name)).system())
+    assert len(calls) <= most
+
+
+def test_continuation_fallback_reaches_the_same_orbit(fig2_half_scenario,
+                                                      monkeypatch):
+    system = fig2_half_scenario.system()
+    orbit, _ = orbit_and_step(system)
+    bare_start(monkeypatch)
+    calls = count_integrations(monkeypatch)
+    fallback, _ = orbit_and_step(system)
+    # The full-amplitude level fails after SHOOT_NEWTON_CAP + 1 periods,
+    # so the converged orbit comes from halved levels.
+    assert len(calls) > dynamics.SHOOT_NEWTON_CAP + 1
+    assert fallback.residual < dynamics.SHOOT_TOL
+    y0 = orbit.means.y[0]
+    assert np.max(np.abs(fallback.means.y[0] - y0)) <= 1e-9 * np.max(np.abs(y0))
+
+
+def test_continuation_from_an_orbit_ignores_the_linear_response(
+        fig2_sum_scenario, monkeypatch):
+    # At omega_D = 0.525 (Omega_1 + Omega_2) Newton needs the continuation
+    # even from the linear response.  Its levels from a converged orbit
+    # start from that orbit; adding the response there took 111
+    # integrations against 96 from the bare CW start.
+    scanned = at_sum_fraction(fig2_sum_scenario.system(), 0.525)
+    calls = count_integrations(monkeypatch)
+    orbit_and_step(scanned)
+    predicted = len(calls)
+    bare_start(monkeypatch)
+    del calls[:]
+    orbit_and_step(scanned)
+    assert predicted <= len(calls)
+
+
+@pytest.mark.parametrize("name", ["fig2_half", "fig2_sum", "fig3_nanosphere"])
+def test_linear_response_is_the_weak_modulation_orbit(name):
+    # The error of the first-order response is second order in the
+    # modulation: it falls tenfold per decade of epsilon, down to the RK4
+    # step's own error (2.6e-7 relative on fig2_half at epsilon = 1e-3).
+    system = load_scenario(shipped_scenario(name)).system()
+    p, drv = system.params, system.drive
+    cw = meanfield.steady_means(p, drv.unmodulated())
+    errors = []
+    for eps in (1e-2, 1e-3):
+        weak = replace(drv, mod_amplitudes=tuple(eps * e for e in drv.mod_amplitudes))
+        orbit, _ = orbit_and_step(replace(system, drive=weak))
+        exact = orbit.means.y[0] - cw.y
+        linear = dynamics._linear_response(p, weak, cw)
+        errors.append(np.max(np.abs(linear - exact)) / np.max(np.abs(exact)))
+    assert errors[1] <= 1e-3
+    assert errors[0] >= 8 * errors[1]
+
+
+@pytest.mark.parametrize("fraction, rho", [
+    (0.30, None), (0.50, None), (0.70, None), (0.90, None), (0.95, "1.057"),
+    (1.00, None), (1.05, "1.034"), (1.10, None), (1.30, None)])
+def test_linear_response_start_keeps_the_verdict(fig2_sum_scenario, fraction,
+                                                 rho, monkeypatch):
+    # A scan of omega_D over the sum resonance Omega_1 + Omega_2: the orbit
+    # found from the linear response is the one the bare CW start finds,
+    # attracting or not.
+    scanned = at_sum_fraction(fig2_sum_scenario.system(), fraction)
+    if rho is not None:
+        with pytest.raises(UnstableSystemError, match=f"spectral radius {rho}"):
+            orbit_and_step(scanned)
+        bare_start(monkeypatch)
+        with pytest.raises(UnstableSystemError, match=f"spectral radius {rho}"):
+            orbit_and_step(scanned)
+        return
+    orbit, _ = orbit_and_step(scanned)
+    bare_start(monkeypatch)
+    reference, _ = orbit_and_step(scanned)
+    assert orbit.rho < 1.0 and orbit.residual < dynamics.SHOOT_TOL
+    y0 = reference.means.y[0]
+    assert np.max(np.abs(orbit.means.y[0] - y0)) <= 1e-9 * np.max(np.abs(y0))
