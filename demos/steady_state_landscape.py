@@ -20,14 +20,14 @@ scenario = load_scenario(shipped_scenario("fig1_cw"))
 # One stacked pass: every detuning's drift goes through a single stability
 # check, Lyapunov solve and Gaussian analysis.
 ratios = np.linspace(0.3, 1.5, 13)
-results = pipeline.steady_states(
-    scenario.params,
-    [scenario.system(detuning=float(ratio)).drive for ratio in ratios])
+pipeline.require_cw(scenario.drive)
+states = pipeline.steady_states(scenario.params,
+                                *scenario.drive_stack("detuning", ratios))
 
 print("detuning/Omega   eta_min    E_N     nbar")
-for ratio, (report, _) in zip(ratios, results):
-    print(f"{ratio:13.2f}  {report.eta_min:8.4f}  {report.log_neg:6.4f}"
-          f"  {report.nbar1:7.4f}")
+for ratio, eta, log_neg, nbar in zip(ratios, states.eta_min, states.log_neg,
+                                     states.nbar1):
+    print(f"{ratio:13.2f}  {eta:8.4f}  {log_neg:6.4f}  {nbar:7.4f}")
 
 report, _ = pipeline.steady_state(scenario.system())
 print()

@@ -72,6 +72,7 @@ from .readout import (
 from .pipeline import (
     EffectiveReport,
     EvolveResult,
+    SteadyStates,
     System,
     effective_report,
     evolve,

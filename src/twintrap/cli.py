@@ -25,11 +25,11 @@ unstable system, 4 non-converged computation.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,12 @@ EXIT_UNSTABLE = 3
 EXIT_NOCONV = 4
 
 SERIES_COLUMNS = ("t_over_tau", "eta_min", "E_N", "nbar1", "nbar2")
+
+#: The five numbers of a CSV row of either table: a ``sweep`` row (axis
+#: value and the four measures, then its stability) or an ``evolve`` row.
+ROW_FORMAT = ",".join(["{:.12g}"] * 5)
+#: Table rows turned into Python floats at a time while a CSV is written.
+ROW_CHUNK = 1024
 
 #: Exit code of each error a verb may end with.
 EXIT_CODES = {ConfigError: EXIT_CONFIG, OSError: EXIT_CONFIG,
@@ -100,18 +106,33 @@ def _report_json(report, extra: dict | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _csv_text(columns, rows) -> str:
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_rows(table: np.ndarray, suffix: str = "") -> Iterator[str]:
+    """Each row of a (n, 5) table as one CSV line: ``ROW_FORMAT``, then
+    ``suffix``, then a newline; ``ROW_CHUNK`` rows are turned into floats
+    at a time."""
+    line = (ROW_FORMAT + suffix + "\n").format
+    for start in range(0, len(table), ROW_CHUNK):
+        for row in table[start:start + ROW_CHUNK].tolist():
+            yield line(*row)
+
+
+def _write_csv(args, name: str, columns, lines) -> None:
+    """Write the header ``columns`` and then ``lines`` (CSV lines ending in
+    a newline) to ``args.out / name``, or to stdout, as they come."""
+    header = ",".join(columns) + "\n"
+    if args.out is None:
+        sys.stdout.write(header)
+        sys.stdout.writelines(lines)
+        return
+    args.out.mkdir(parents=True, exist_ok=True)
+    with open(args.out / name, "w") as fh:
+        fh.write(header)
+        fh.writelines(lines)
 
 
 def cmd_validate(scenario: Scenario, args) -> int:
     if scenario.sweep is not None:
-        pipeline.require_cw([scenario.drive])
+        pipeline.require_cw(scenario.drive)
     _emit(args, "validate.json", json.dumps({"valid": True}))
     return EXIT_OK
 
@@ -128,9 +149,8 @@ def cmd_evolve(scenario: Scenario, args) -> int:
     result = pipeline.evolve(scenario.system(), t_max_tau=num.t_max_tau,
                              steps_per_period=num.steps_per_period,
                              store_per_period=num.store_per_period)
-    rows = np.column_stack([result.t_over_tau, result.eta_min,
-                            result.log_neg, result.nbar1,
-                            result.nbar2]).tolist()
+    table = np.column_stack([result.t_over_tau, result.eta_min,
+                             result.log_neg, result.nbar1, result.nbar2])
     final = slice(-len(result.orbit.t), None)
     # A run shorter than two periods cannot measure the change between
     # them; JSON has no infinity, so that change is written as null.
@@ -143,13 +163,13 @@ def cmd_evolve(scenario: Scenario, args) -> int:
         "log_neg_final_period": float(result.log_neg[final].max()),
     }
     if args.format == "csv":
-        _emit(args, "evolve.csv", _csv_text(
-            SERIES_COLUMNS, ([f"{v:.12g}" for v in row] for row in rows)))
+        _write_csv(args, "evolve.csv", SERIES_COLUMNS, _csv_rows(table))
         if args.out is not None:
             _emit(args, "evolve_summary.json",
                   json.dumps(summary, indent=2, sort_keys=True))
     else:
-        summary["series"] = [dict(zip(SERIES_COLUMNS, row)) for row in rows]
+        summary["series"] = [dict(zip(SERIES_COLUMNS, row))
+                             for row in table.tolist()]
         _emit(args, "evolve.json",
               json.dumps(summary, indent=2, sort_keys=True))
     if not result.orbit.converged:
@@ -160,27 +180,20 @@ def cmd_evolve(scenario: Scenario, args) -> int:
 def cmd_sweep(scenario: Scenario, args) -> int:
     if scenario.sweep is None:
         raise ConfigError("scenario has no sweep section")
-    axis = scenario.sweep.axis
-
-    values = scenario.sweep.values   # input order: deterministic output
-    results = pipeline.steady_states(
-        scenario.params,
-        [scenario.system(**{axis: value}).drive for value in values])
-    rows, code = [], EXIT_OK
-    for value, result in zip(values, results):
-        if isinstance(result, Exception):
-            code = max(code, exit_code(result))
-            status = ("unstable" if isinstance(result, UnstableSystemError)
-                      else "unconverged")
-            rows.append([f"{value:.12g}", "", "", "", "", status])
-        else:
-            report = result[0]
-            rows.append([f"{value:.12g}", f"{report.eta_min:.12g}",
-                         f"{report.log_neg:.12g}", f"{report.nbar1:.12g}",
-                         f"{report.nbar2:.12g}", "stable"])
-    text = _csv_text((axis,) + SERIES_COLUMNS[1:] + ("stability",), rows)
-    _emit(args, "sweep.csv", text)
-    return code
+    pipeline.require_cw(scenario.drive)
+    axis, values = scenario.sweep.axis, scenario.sweep.values
+    states = pipeline.steady_states(scenario.params,
+                                    *scenario.drive_stack(axis, values))
+    lines = list(_csv_rows(np.column_stack(
+        [values, states.eta_min, states.log_neg, states.nbar1,
+         states.nbar2]), ",stable"))
+    for k, error in states.failures.items():
+        status = ("unstable" if isinstance(error, UnstableSystemError)
+                  else "unconverged")
+        lines[k] = f"{values[k]:.12g},,,,,{status}\n"
+    _write_csv(args, "sweep.csv",
+               (axis,) + SERIES_COLUMNS[1:] + ("stability",), lines)
+    return max(map(exit_code, states.failures.values()), default=EXIT_OK)
 
 
 def cmd_effective(scenario: Scenario, args) -> int:

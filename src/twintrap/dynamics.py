@@ -174,16 +174,26 @@ def stability_check(a: np.ndarray) -> StabilityReport:
     per matrix for a stack (..., n, n).
 
     The verdict is marginal where the spectral abscissa is within
-    ``MARGINAL_TOL`` of the scale max(||A||_2, 1).
+    ``MARGINAL_TOL`` of the scale max(||A||_2, 1).  Since ||A||_2 <=
+    ||A||_F, a drift outside the looser band of scale max(2 ||A||_F, 1) is
+    not marginal; ||A||_2 is computed only for the few drifts inside it, so
+    the verdicts are those of the exact rule.
     """
     a = np.asarray(a, dtype=float)
-    max_re = np.linalg.eigvals(a).real.max(axis=-1)
-    marginal = abs(max_re) <= MARGINAL_TOL * np.maximum(_norm2(a), 1.0)
-    verdict = np.where(marginal, "marginal",
-                       np.where(routh_hurwitz_stable(a), "stable", "unstable"))
+    stack = a.reshape((-1,) + a.shape[-2:])
+    max_re = np.linalg.eigvals(stack).real.max(axis=-1)
+    scale = np.maximum(2 * np.linalg.norm(stack, axis=(1, 2)), 1.0)
+    marginal = abs(max_re) <= MARGINAL_TOL * scale
+    if marginal.any():
+        scale[marginal] = np.maximum(_norm2(stack[marginal]), 1.0)
+        marginal = abs(max_re) <= MARGINAL_TOL * scale
+    verdict = np.where(marginal, "marginal", np.where(
+        routh_hurwitz_stable(stack), "stable", "unstable"))
+    verdict = verdict.reshape(a.shape[:-2])
+    margin = -max_re.reshape(a.shape[:-2])
     if verdict.ndim == 0:
-        return StabilityReport(str(verdict), float(-max_re))
-    return StabilityReport(verdict, -max_re)
+        return StabilityReport(str(verdict), float(margin))
+    return StabilityReport(verdict, margin)
 
 
 @functools.cache

@@ -126,11 +126,7 @@ def measures(v: np.ndarray) -> tuple:
 
 
 def report_from_covariance(v: np.ndarray, stable: bool, t: float = 0.0
-                           ) -> EntanglementReport | list[EntanglementReport]:
-    """Full report from an 8x8 (or mechanical 4x4) covariance matrix; one
-    report per matrix, in a list, for a stack (B, n, n)."""
+                           ) -> EntanglementReport:
+    """Full report from an 8x8 (or mechanical 4x4) covariance matrix."""
     eta, log_neg, nbar1, nbar2 = measures(v)
-    if np.ndim(eta) == 0:
-        return EntanglementReport(eta, float(log_neg), nbar1, nbar2, stable, t)
-    return [EntanglementReport(*map(float, row), stable=stable, t=t)
-            for row in zip(eta, log_neg, nbar1, nbar2)]
+    return EntanglementReport(eta, float(log_neg), nbar1, nbar2, stable, t)

@@ -9,7 +9,6 @@ is tau = 4 pi / (Omega_1 + Omega_2).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,58 +40,92 @@ def timestep(system: System) -> float:
     return 2 * math.pi / (STEPS_PER_CYCLE * fastest)
 
 
-def require_cw(drives: Iterable[DriveSpec]) -> None:
-    """Raise ``ConfigError`` if any drive is modulated: such a drive has no
+def require_cw(drive: DriveSpec) -> None:
+    """Raise ``ConfigError`` if the drive is modulated: such a drive has no
     CW steady state, so ``steady`` and ``sweep`` cannot run it."""
-    if any(drive.modulated for drive in drives):
+    if drive.modulated:
         raise ConfigError("the drive is modulated and has no CW steady "
                           "state; run evolve for its long-time state")
 
 
-def steady_states(params: DerivedParams, drives: Sequence[DriveSpec]) -> list:
-    """CW steady states of many drives of one parameter set, in input order.
+@dataclass(frozen=True)
+class SteadyStates:
+    """CW steady states of B drives of one parameter set, in input order.
+
+    A point's measures and covariance are in its slot of the arrays; a
+    point with no steady state has NaN there and its error in ``failures``
+    under its slot index, in slot order.
+    """
+
+    eta_min: np.ndarray     # (B,)
+    log_neg: np.ndarray     # (B,)
+    nbar1: np.ndarray       # (B,)
+    nbar2: np.ndarray       # (B,)
+    cov: np.ndarray         # (B, 8, 8)
+    failures: dict[int, Exception]  # UnstableSystemError | ConvergenceError
+
+
+def steady_states(params: DerivedParams, cw_amplitudes: np.ndarray,
+                  detunings: np.ndarray) -> SteadyStates:
+    """CW steady states of the B drives of one parameter set whose CW
+    amplitudes and effective detunings are the rows of two (B, 2) arrays.
 
     One ``meanfield.cw_working_points`` call gives the working points, one
     ``drift_samples`` call their drifts and one diffusion matrix serves
     them all; one stability check, Lyapunov solve and Gaussian analysis
-    cover the stack.  Each drive's slot holds its ``(EntanglementReport,
-    covariance)``, the ``UnstableSystemError`` of a point with no steady
-    state, or the ``ConvergenceError`` of one whose Lyapunov residual
-    misses ``dynamics.LYAPUNOV_RTOL``.  A modulated drive, which has no CW
-    steady state, raises ``ConfigError``.
+    cover the stack, and their results are scattered into the slots of
+    the points they belong to.  The error of a point with no steady state
+    is an ``UnstableSystemError`` for a trap that does not confine or a
+    drift that is not stable, and a ``ConvergenceError`` for a Lyapunov
+    residual that misses ``dynamics.LYAPUNOV_RTOL``.  The drives must be
+    CW (``require_cw``); the arrays carry no modulation.
     """
-    require_cw(drives)
-    wp, confining = meanfield.cw_working_points(
-        params, np.array([d.cw_amplitudes for d in drives]),
-        np.array([d.detunings for d in drives]))
+    wp, confining = meanfield.cw_working_points(params, cw_amplitudes,
+                                                detunings)
     stability, v, residual = dynamics.steady_covariance(
         dynamics.drift_samples(wp, params)[confining],
         dynamics.build_diffusion(params))
-    reports = iter(gaussian.report_from_covariance(
-        v[residual <= dynamics.LYAPUNOV_RTOL], stable=True))
-    verdicts = zip(stability.verdict, stability.margin)
-    solved = zip(residual, v)
+    confined = np.flatnonzero(confining)
+    stable = confined[stability.stable]
+    converged = residual <= dynamics.LYAPUNOV_RTOL
+    solved = stable[converged]
 
-    def outcome(ok: bool, omega: np.ndarray):
-        if not ok:
-            return meanfield.UnstableSystemError.unconfined(omega)
-        verdict, margin = next(verdicts)
-        if verdict != "stable":
-            return dynamics.unstable_drift(verdict, margin)
-        miss, cov = next(solved)
-        return ((next(reports), cov) if miss <= dynamics.LYAPUNOV_RTOL
-                else dynamics.residual_miss(miss))
+    b, n = len(confining), v.shape[-1]
+    cov = np.full((b, n, n), np.nan)
+    cov[solved] = v[converged]
+    measures = [np.full(b, np.nan) for _ in range(4)]
+    for full, got in zip(measures, gaussian.measures(v[converged])):
+        full[solved] = got
 
-    return list(map(outcome, confining, wp.omega_shifted))
+    failures = {}
+    for k in np.flatnonzero(~confining).tolist():
+        failures[k] = meanfield.UnstableSystemError.unconfined(
+            wp.omega_shifted[k])
+    unstable = ~stability.stable
+    for k, verdict, margin in zip(confined[unstable].tolist(),
+                                  stability.verdict[unstable],
+                                  stability.margin[unstable]):
+        failures[k] = dynamics.unstable_drift(verdict, margin)
+    for k, miss in zip(stable[~converged].tolist(), residual[~converged]):
+        failures[k] = dynamics.residual_miss(miss)
+    return SteadyStates(*measures, cov=cov, failures=dict(sorted(
+        failures.items())))
 
 
 def steady_state(system: System) -> tuple[gaussian.EntanglementReport, np.ndarray]:
     """CW steady state of one system: ``steady_states`` of a one-drive
-    stack.  Raises the error in its slot when there is none."""
-    (result,) = steady_states(system.params, [system.drive])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    stack.  Raises its error when there is none, and ``ConfigError`` for a
+    modulated drive."""
+    drive = system.drive
+    require_cw(drive)
+    states = steady_states(system.params, np.array([drive.cw_amplitudes]),
+                           np.array([drive.detunings]))
+    if states.failures:
+        raise states.failures[0]
+    report = gaussian.EntanglementReport(
+        float(states.eta_min[0]), float(states.log_neg[0]),
+        float(states.nbar1[0]), float(states.nbar2[0]), stable=True)
+    return report, states.cov[0]
 
 
 @dataclass(frozen=True)

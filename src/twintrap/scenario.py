@@ -57,6 +57,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import model
@@ -129,6 +130,26 @@ class Scenario:
             e = control_fraction * drive.trap_amplitude
             drive = replace(drive, cw_amplitudes=(e, e))
         return System(params=params, drive=drive)
+
+    def drive_stack(self, axis: str, values) -> tuple[np.ndarray, np.ndarray]:
+        """The (B, 2) CW amplitudes and effective detunings of the drive
+        with ``axis`` (one of ``SWEEP_AXES``) set to each of the B
+        ``values``, in the relative units of ``system``'s overrides and
+        with the same products, so each row is bit-equal to the drive of
+        ``system(**{axis: value})``.  The modulation is not part of the
+        stack: the callers check the drive is CW.
+        """
+        values = np.asarray(values, dtype=float)[:, None]
+        cw = np.tile(self.drive.cw_amplitudes, (len(values), 1))
+        detunings = np.tile(self.drive.detunings, (len(values), 1))
+        if axis == "detuning":
+            detunings[:] = values * self.params.omega_mech[0]
+        elif axis == "control_fraction":
+            cw[:] = values * self.drive.trap_amplitude
+        else:
+            raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, "
+                              f"not {axis!r}")
+        return cw, detunings
 
 
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:

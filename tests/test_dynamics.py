@@ -150,6 +150,70 @@ def test_stacked_stability_matches_per_matrix():
         assert verdicts[k] == routh_hurwitz_stable(a)
 
 
+def exact_marginal(a):
+    """The marginal rule with the exact spectral norm (an SVD) of every
+    matrix of a stack."""
+    max_re = np.linalg.eigvals(a).real.max(axis=-1)
+    scale = np.maximum(np.linalg.norm(a, 2, axis=(-2, -1)), 1.0)
+    return abs(max_re) <= dynamics.MARGINAL_TOL * scale
+
+
+def near_marginal_drifts(rng):
+    """Random 8x8 drifts whose spectral abscissa is c MARGINAL_TOL ||A||_2
+    for c on both sides of +-1, at norms above and below 1."""
+    drifts = []
+    for c in (0.5, 0.9, 1.1, 1.5, 3.0, 30.0, 1e3):
+        for sign in (1.0, -1.0):
+            a = rng.normal(size=(8, 8))
+            a -= np.linalg.eigvals(a).real.max() * np.eye(8)
+            a += sign * c * dynamics.MARGINAL_TOL * np.linalg.norm(a, 2) \
+                * np.eye(8)
+            drifts += [a, 1e-3 * a]
+    return np.array(drifts)
+
+
+def counted_norms(monkeypatch):
+    """Count the matrices whose exact spectral norm is taken."""
+    rows = []
+    norm2 = dynamics._norm2
+    monkeypatch.setattr(dynamics, "_norm2",
+                        lambda a: rows.append(len(a)) or norm2(a))
+    return rows
+
+
+def test_drift_between_the_norm_and_its_bound_is_not_marginal(monkeypatch):
+    # |max Re lambda| = 2e-5 lies above tol ||A||_2 = 1e-5 but below the
+    # bound tol 2 ||A||_F = 5.3e-5: the exact norm rules it not marginal.
+    a = np.diag([-2e-5] + [-1e3] * 7)
+    tol = dynamics.MARGINAL_TOL
+    assert tol * np.linalg.norm(a, 2) < 2e-5 < tol * 2 * np.linalg.norm(a)
+    rows = counted_norms(monkeypatch)
+    report = stability_check(np.array([a, np.diag([0.0] + [-1.0] * 7),
+                                       -np.eye(8)]))
+    assert report.verdict.tolist() == ["stable", "marginal", "stable"]
+    assert rows == [2]
+    assert stability_check(a).verdict == "stable"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_marginal_verdicts_follow_the_exact_norm_rule(seed):
+    rng = np.random.default_rng(seed)
+    stack = np.concatenate([near_marginal_drifts(rng), mixed_drifts(rng)])
+    report = stability_check(stack)
+    marginal = exact_marginal(stack)
+    assert 0 < marginal.sum() < len(stack)
+    assert np.array_equal(report.verdict == "marginal", marginal)
+    assert np.array_equal(report.stable, ~marginal
+                          & routh_hurwitz_stable(stack))
+
+
+def test_bench_grid_takes_no_exact_norm(bench_grid, monkeypatch):
+    rows = counted_norms(monkeypatch)
+    report = stability_check(bench_grid[0])
+    assert report.stable.all() and not exact_marginal(bench_grid[0]).any()
+    assert rows == []
+
+
 # ------------------------------------------------------- Lyapunov solves
 
 def test_lyapunov_residual_and_positivity():

@@ -130,9 +130,9 @@ def test_nonconfining_trap_raises_unstable(fig1_scenario, monkeypatch, capsys):
         steady_means(bad, system.drive)
     # A drive with a tenth of the amplitude has a hundredth of the photons,
     # so the same parameters confine it.
-    good, failed = pipeline.steady_states(
-        bad, [stronger(system.drive, 0.1), system.drive])
-    assert good[0].stable and isinstance(failed, UnstableSystemError)
+    states = solve_stack(bad, [stronger(system.drive, 0.1), system.drive])
+    assert list(states.failures) == [1] and np.isfinite(states.eta_min[0])
+    assert isinstance(states.failures[1], UnstableSystemError)
 
     derive = model.derive_params
     monkeypatch.setattr(model, "derive_params", lambda *args: nonconfining(
@@ -142,22 +142,37 @@ def test_nonconfining_trap_raises_unstable(fig1_scenario, monkeypatch, capsys):
     assert "Omega~" in capsys.readouterr().err
 
 
+def solve_stack(params, drives):
+    """``steady_states`` of the drives' (B, 2) amplitude and detuning
+    arrays."""
+    return pipeline.steady_states(
+        params, np.array([d.cw_amplitudes for d in drives]),
+        np.array([d.detunings for d in drives]))
+
+
 def assert_one_drive_results(params, drives, stacked):
     """Each slot of a stacked ``steady_states`` call is what the drive gets
     alone, bit for bit; returns the messages of the failed slots."""
-    assert len(stacked) == len(drives)
+    fields = (stacked.eta_min, stacked.log_neg, stacked.nbar1, stacked.nbar2)
+    assert [len(f) for f in fields] == [len(drives)] * 4
+    assert stacked.cov.shape == (len(drives), 8, 8)
     messages = []
-    for drive, got in zip(drives, stacked):
+    for k, drive in enumerate(drives):
+        got = [f[k] for f in fields]
         try:
             want_report, want_v = pipeline.steady_state(
                 pipeline.System(params, drive))
         except (UnstableSystemError, ConvergenceError) as exc:
-            assert type(got) is type(exc) and str(got) == str(exc)
-            messages.append(str(got))
+            error = stacked.failures[k]
+            assert type(error) is type(exc) and str(error) == str(exc)
+            assert np.isnan(got).all() and np.isnan(stacked.cov[k]).all()
+            messages.append(str(error))
             continue
-        got_report, got_v = got
-        assert got_report == want_report
-        assert np.array_equal(got_v, want_v)
+        assert k not in stacked.failures
+        assert got == [want_report.eta_min, want_report.log_neg,
+                       want_report.nbar1, want_report.nbar2]
+        assert np.array_equal(stacked.cov[k], want_v)
+    assert len(stacked.failures) == len(messages)
     return messages
 
 
@@ -174,8 +189,8 @@ def test_stacked_steady_states_match_one_system_stacks(fig1_scenario,
     params = nonconfining(fig1_scenario.params, stronger(base))
     blue = fig1_scenario.system(detuning=-1.0).drive
     drives = [*fig1[:6], stronger(base), blue, *fig1[6:]]
-    messages = assert_one_drive_results(
-        params, drives, pipeline.steady_states(params, drives))
+    messages = assert_one_drive_results(params, drives,
+                                        solve_stack(params, drives))
     assert len(messages) == 2
     assert "Omega~" in messages[0] and "unstable" in messages[1]
 
@@ -184,7 +199,7 @@ def test_stacked_steady_states_match_one_system_stacks(fig1_scenario,
     drives = [*fig1[:6], blue, zero, *fig1[6:]]
     messages = assert_one_drive_results(
         fig1_scenario.params, drives,
-        pipeline.steady_states(fig1_scenario.params, drives))
+        solve_stack(fig1_scenario.params, drives))
     assert len(messages) == 2
     assert "unstable" in messages[0] and "Lyapunov" in messages[1]
 
@@ -192,16 +207,17 @@ def test_stacked_steady_states_match_one_system_stacks(fig1_scenario,
             for d in (1.0, 1.5)]
     assert not assert_one_drive_results(
         fig3_scenario.params, fig3,
-        pipeline.steady_states(fig3_scenario.params, fig3))
+        solve_stack(fig3_scenario.params, fig3))
 
 
 def test_stack_with_no_confining_point_fails_every_slot(fig1_scenario):
     drive = fig1_scenario.system().drive
     drives = [drive, stronger(drive, 2.0)]
-    results = pipeline.steady_states(
-        nonconfining(fig1_scenario.params, drive), drives)
-    assert [type(r) for r in results] == [UnstableSystemError] * 2
-    assert all("Omega~" in str(r) for r in results)
+    states = solve_stack(nonconfining(fig1_scenario.params, drive), drives)
+    assert list(states.failures) == [0, 1]
+    assert all(type(error) is UnstableSystemError and "Omega~" in str(error)
+               for error in states.failures.values())
+    assert np.isnan(states.eta_min).all() and np.isnan(states.cov).all()
 
 
 def test_lyapunov_bound_miss_names_the_input_system(fig1_scenario,
@@ -213,8 +229,9 @@ def test_lyapunov_bound_miss_names_the_input_system(fig1_scenario,
     params = nonconfining(fig1_scenario.params, stronger(base))
     blue = fig1_scenario.system(detuning=-1.0).drive
     monkeypatch.setattr(dynamics, "LYAPUNOV_RTOL", 1e-30)
-    unconfined, missed, unstable = pipeline.steady_states(
-        params, [stronger(base), base, blue])
+    states = solve_stack(params, [stronger(base), base, blue])
+    assert list(states.failures) == [0, 1, 2]
+    unconfined, missed, unstable = states.failures.values()
     assert isinstance(unconfined, UnstableSystemError)
     assert "Omega~" in str(unconfined)
     assert isinstance(missed, ConvergenceError) and missed.residual > 0

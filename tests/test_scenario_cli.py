@@ -11,8 +11,8 @@ import yaml
 
 from twintrap import cli, meanfield, model, pipeline
 from twintrap.model import ConfigError
-from twintrap.scenario import (SCHEMA_VERSION, load_scenario, parse_scenario,
-                               shipped_scenario)
+from twintrap.scenario import (SCHEMA_VERSION, Scenario, load_scenario,
+                               parse_scenario, shipped_scenario)
 
 SHIPPED = ("fig1_cw", "fig2_sum", "fig2_half", "fig3_nanosphere")
 
@@ -138,6 +138,24 @@ def test_override_equals_scenario_written_with_it(axis, key):
     overridden = parse_scenario(doc).system(**{axis: 0.7})
     doc["drive"][key] = [0.7, 0.7]
     assert overridden.drive == parse_scenario(doc).system().drive
+
+
+@pytest.mark.parametrize("axis", ["detuning", "control_fraction"])
+def test_drive_stack_rows_are_the_override_drives(axis):
+    # Two unlike disks, so that Omega_1 != Omega_2 and the unit of the
+    # detuning axis is told apart.
+    doc = base_doc()
+    doc["objects"].append(dict(doc["objects"][0]))
+    doc["objects"][1]["density"] *= 1.2
+    scenario = parse_scenario(doc)
+    assert scenario.params.omega_mech[0] != scenario.params.omega_mech[1]
+    values = [0.0, 0.3, 0.7, 1.0 / 3.0, 1.9]
+    cw, detunings = scenario.drive_stack(axis, values)
+    assert cw.shape == detunings.shape == (len(values), 2)
+    for k, value in enumerate(values):
+        drive = scenario.system(**{axis: value}).drive
+        assert cw[k].tolist() == list(drive.cw_amplitudes)
+        assert detunings[k].tolist() == list(drive.detunings)
 
 
 def test_si_drive_keys_match_relative_keys(fig2_sum_scenario):
@@ -390,6 +408,24 @@ def test_sweep_keeps_unstable_rows_in_place(tmp_path, capsys):
                             rel_tol=1e-10)
 
 
+def test_control_fraction_sweep_rows_are_each_points_steady_state(tmp_path,
+                                                                 capsys):
+    doc = base_doc()
+    values = [0.0, 0.01, 0.02, 0.05, 0.1]
+    doc["sweep"] = {"axis": "control_fraction", "values": values}
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["sweep", "--scenario", str(path)]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "control_fraction,eta_min,E_N,nbar1,nbar2,stability"
+    scenario = load_scenario(path)
+    for value, row in zip(values, rows[1:], strict=True):
+        report, _ = pipeline.steady_state(
+            scenario.system(control_fraction=value))
+        numbers = (value, report.eta_min, report.log_neg, report.nbar1,
+                   report.nbar2)
+        assert row == ",".join(f"{x:.12g}" for x in numbers) + ",stable"
+
+
 def sweep_rows(tmp_path, capsys, values, code):
     doc = base_doc()
     doc["sweep"] = {"axis": "detuning", "values": values}
@@ -438,14 +474,19 @@ def test_sweep_stacks_each_parameter_set_once(tmp_path, monkeypatch):
     doc = base_doc()
     doc["sweep"] = {"axis": "detuning", "values": [0.5, 0.8, 1.0, 1.2]}
     path = write_scenario(tmp_path, doc)
-    calls = []
+    calls, systems = [], []
     solve = meanfield.cw_working_points
     monkeypatch.setattr(meanfield, "cw_working_points",
                         lambda *args: calls.append(args) or solve(*args))
+    system = Scenario.system
+    monkeypatch.setattr(Scenario, "system", lambda *args, **kwargs:
+                        systems.append(kwargs) or system(*args, **kwargs))
     assert cli.main(["sweep", "--scenario", str(path),
                      "--out", str(tmp_path)]) == cli.EXIT_OK
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 5
     assert len(calls) == 1
+    # The sweep drives are built as arrays, with no System per point.
+    assert systems == []
 
 
 def test_sweep_requires_sweep_section(tmp_path, capsys):
