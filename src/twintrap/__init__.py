@@ -38,7 +38,7 @@ from .dynamics import (
     drift_samples,
     evolve_covariance,
     lyapunov_steady,
-    monodromy,
+    period_map,
     periodic_orbit,
     quasi_steady_orbit,
     routh_hurwitz_stable,
@@ -50,7 +50,6 @@ from .gaussian import (
     eta_min,
     log_negativity,
     phonon_occupation,
-    report_from_covariance,
     symplectic_spectrum,
 )
 from .effective import (

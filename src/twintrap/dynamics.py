@@ -1,12 +1,13 @@
 """Drift/diffusion matrices, stability, Lyapunov solve, covariance evolution,
-and the periodic mean-field orbit of a modulated drive with its monodromy.
+and the periodic mean-field orbit of a modulated drive with its period map.
 
 The fluctuations have one propagator: each step dt of a time-varying drift
 is the affine map V -> P V P^T + Q of ``_step_maps``, with P the diagonal
-Pade exponential of the fourth-order Magnus exponent.  ``evolve_covariance``
-composes these maps per stored interval and ``monodromy`` multiplies their
-P; both build them in stacks, ``PROPAGATOR_CHUNK`` steps at a time, in one
-set of scratch reused from chunk to chunk.  A ``DriftGrid`` feeds them the
+Pade exponential of the fourth-order Magnus exponent.  ``_interval_maps``
+composes them over intervals of a stride, in stacks of ``PROPAGATOR_CHUNK``
+steps that reuse one set of scratch.  ``evolve_covariance`` applies one
+interval per stored sample, and ``period_map`` is the interval of a drive
+period, V -> Phi V Phi^T + Q_T.  A ``DriftGrid`` feeds them the
 drift of a stream of mean-field windows (``meanfield.mean_windows``), one
 chunk at a time, so a long run holds neither its means nor its drift whole.
 
@@ -112,11 +113,11 @@ def _characteristic_polynomial(a: np.ndarray) -> np.ndarray:
     n = a.shape[-1]
     coeffs = np.empty(a.shape[:-2] + (n + 1,))
     coeffs[..., 0] = 1.0
-    m = np.zeros_like(a)
+    am = np.zeros_like(a)
     eye = np.eye(n)
     for k in range(1, n + 1):
-        m = a @ m + coeffs[..., k - 1, None, None] * eye
-        coeffs[..., k] = -np.trace(a @ m, axis1=-2, axis2=-1) / k
+        am = a @ (am + coeffs[..., k - 1, None, None] * eye)
+        coeffs[..., k] = -np.trace(am, axis1=-2, axis2=-1) / k
     return coeffs
 
 
@@ -485,7 +486,7 @@ def _step_maps(a: np.ndarray, dt: float, d: np.ndarray | None = None,
 def _interval_maps(a_half, dt: float, stride: int, d: np.ndarray | None = None):
     """Yield the maps (P, Q) of consecutive intervals of ``stride`` steps,
     stacked per chunk of ``chunk_steps(stride)`` steps; Q is None when
-    ``d`` is None.
+    ``d`` is None, and is built from the symmetric part of ``d``.
 
     ``a_half`` is sliced one chunk at a time, in order, so a ``DriftGrid``
     assembles only that chunk's drift.  Steps past the last whole interval
@@ -494,6 +495,7 @@ def _interval_maps(a_half, dt: float, stride: int, d: np.ndarray | None = None):
     serves every chunk; the yielded maps are copies of it.
     """
     n = a_half.shape[-1]
+    d = None if d is None else 0.5 * (d + np.transpose(d))
     n_intervals = (a_half.shape[0] - 1) // 2 // stride
     per_chunk = chunk_steps(stride) // stride
     size = min(per_chunk, n_intervals)
@@ -557,8 +559,6 @@ def evolve_covariance(v0: np.ndarray, a_half, d: np.ndarray,
     n_stored = (a_half.shape[0] - 1) // 2 // store_stride + 1
     v = np.asarray(v0, dtype=float)
     v = 0.5 * (v + v.T)
-    d = np.asarray(d, dtype=float)
-    d = 0.5 * (d + d.T)
     bound = (1e6 * max(float(np.linalg.norm(v)), 1.0)) ** 2
 
     out_t = np.arange(n_stored) * store_stride * dt
@@ -579,6 +579,27 @@ def evolve_covariance(v0: np.ndarray, a_half, d: np.ndarray,
             if over.any():
                 raise BlowupError(float(out_t[first + over.argmax()]))
     return CovTrajectory(t=out_t, v=out_v)
+
+
+def period_map(a_half, dt: float, d: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The drive period's affine map V -> Phi V Phi^T + Q_T of the
+    fluctuations, with Phi the state-transition matrix of du/dt = A(t) u
+    over the period; Q_T is None when the diffusion ``d`` is None.
+
+    ``a_half`` is laid out as for ``evolve_covariance`` (2N + 1 samples at
+    spacing dt/2 for N >= 1 steps).  The map is the one ``_interval_maps``
+    interval of stride N: Phi = P_{N-1} ... P_0, and Q_T the covariance
+    ``evolve_covariance`` reaches from V = 0.  It reads the period in one
+    slice and takes N steps of scratch, at most one propagator chunk while
+    N <= ``PROPAGATOR_CHUNK``, as for every caller (256 on shipped orbits).
+    """
+    _check_half_grid(a_half)
+    n_steps = (a_half.shape[0] - 1) // 2
+    if n_steps < 1:
+        raise ValueError("a period map needs at least one step")
+    (phi,), q = next(_interval_maps(a_half, dt, n_steps, d))
+    return phi, (None if q is None else q[0])
 
 
 @dataclass(frozen=True)
@@ -608,27 +629,12 @@ def quasi_steady_orbit(traj: CovTrajectory, n_per: int) -> QuasiSteadyOrbit:
                             change < QUASI_STEADY_TOL, change)
 
 
-def monodromy(a_half, dt: float) -> np.ndarray:
-    """Period map Phi of du/dt = A(t) u: the ordered product
-    P_{N-1} ... P_1 P_0 of the Pade-Magnus step maps of ``_step_maps``.
-
-    ``a_half`` is laid out as for ``evolve_covariance`` (2N + 1 samples at
-    spacing dt/2 for N steps).  Only the P_k are built.
-    """
-    _check_half_grid(a_half)
-    phi = np.eye(a_half.shape[-1])
-    for p, _ in _interval_maps(a_half, dt, 1):
-        for pk in p:
-            phi = pk @ phi
-    return phi
-
-
 @dataclass(frozen=True)
 class PeriodicOrbit:
     """The attracting periodic mean-field orbit over one drive period."""
 
     means: MeanTrajectory    # 2N + 1 samples at spacing dt/2, t from 0 to T
-    rho: float               # spectral radius of the monodromy, < 1
+    rho: float               # spectral radius of the period map Phi, < 1
     residual: float          # relative shooting residual |y(T) - y(0)|
 
 
@@ -652,7 +658,8 @@ def _linear_response(params: DerivedParams, drive: DriveSpec,
 def _shoot(params: DerivedParams, drive: DriveSpec, y: np.ndarray,
            bare: np.ndarray, period: float, dt: float):
     """Newton iterations on y(T) = y(0) from the guess ``y``, with RK4
-    steps dt over the period T.
+    steps dt over the period T.  The Newton Jacobian, in y coordinates, is
+    S^-1 Phi S - I, with Phi the ``period_map`` of the iterate's drift.
 
     Returns (orbit, residual); the orbit is None when the iterations do
     not converge or an iterate goes non-finite.
@@ -671,8 +678,8 @@ def _shoot(params: DerivedParams, drive: DriveSpec, y: np.ndarray,
                 return means, residual
             if it == SHOOT_NEWTON_CAP:
                 break
-            # Newton on the period map; in y coordinates its Jacobian is S^-1 Phi S.
-            jac = _on_state(monodromy(drift_samples(means, params), dt)) - np.eye(8)
+            phi, _ = period_map(drift_samples(means, params), dt)
+            jac = _on_state(phi) - np.eye(8)
             try:
                 y = y - np.linalg.solve(jac, gap)
             except np.linalg.LinAlgError:
@@ -688,8 +695,8 @@ def periodic_orbit(params: DerivedParams, drive: DriveSpec,
     steps dt (rounded so that whole steps span the period T); the returned
     samples are ``integrate_means``' half-step grid, the drift grid of a
     step dt of the fluctuations.  The Newton Jacobian of the period map is
-    the ``monodromy`` of the linearized drift, which is the fluctuation
-    drift; it agrees with the RK4 map's Jacobian to the order of the step.
+    Phi of ``period_map`` on the linearized drift, the fluctuation drift;
+    it agrees with the RK4 map's Jacobian to the order of the step.
     Newton starts from the CW point's linear response to the modulation
     (``_linear_response``), the orbit's first order in the modulation
     amplitudes.  Should it fail to converge within ``SHOOT_NEWTON_CAP``
@@ -730,9 +737,9 @@ def periodic_orbit(params: DerivedParams, drive: DriveSpec,
         y = means.y[0]
         if done == 1.0:
             break
-    phi = monodromy(drift_samples(means, params), dt)
+    phi, _ = period_map(drift_samples(means, params), dt)
     rho = float(np.max(np.abs(np.linalg.eigvals(phi))))
     if not rho < 1.0:
         raise UnstableSystemError(
-            f"periodic mean orbit is unstable (monodromy spectral radius {rho:.6f})")
+            f"periodic mean orbit is unstable (period map spectral radius {rho:.6f})")
     return PeriodicOrbit(means=means, rho=rho, residual=residual)

@@ -123,10 +123,3 @@ def measures(v: np.ndarray) -> tuple:
     eta = eta_min(block)
     return (eta, np.maximum(0.0, -np.log(2.0 * eta)),
             phonon_occupation(block, 1), phonon_occupation(block, 2))
-
-
-def report_from_covariance(v: np.ndarray, stable: bool, t: float = 0.0
-                           ) -> EntanglementReport:
-    """Full report from an 8x8 (or mechanical 4x4) covariance matrix."""
-    eta, log_neg, nbar1, nbar2 = measures(v)
-    return EntanglementReport(eta, float(log_neg), nbar1, nbar2, stable, t)

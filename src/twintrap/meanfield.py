@@ -30,7 +30,7 @@ class ConvergenceError(RuntimeError):
 class UnstableSystemError(RuntimeError):
     """The requested steady state or periodic orbit does not exist: a trap
     that does not confine (Omega~_j <= 0), a drift matrix with non-negative
-    spectrum, or a periodic orbit whose monodromy has spectral radius >= 1."""
+    spectrum, or a periodic orbit whose period map has spectral radius >= 1."""
 
     @classmethod
     def unconfined(cls, omega_shifted) -> "UnstableSystemError":

@@ -179,10 +179,9 @@ def _full_verdict(weak, orbit, dt, n_per):
     p = weak.params
     a_half = dynamics.drift_samples(orbit, p)
     d = dynamics.build_diffusion(p)
-    phi = dynamics.monodromy(a_half, dt)
+    phi, q = dynamics.period_map(a_half, dt, d)
     if np.max(np.abs(np.linalg.eigvals(phi))) >= 1 - 1e-9:
         return "unstable"
-    q = dynamics.evolve_covariance(np.zeros((8, 8)), a_half, d, dt).v[-1]
     v0 = solve_discrete_lyapunov(phi, q)
     traj = dynamics.evolve_covariance(0.5 * (v0 + v0.T), a_half, d, dt,
                                       store_stride=max(1, n_per // 32))

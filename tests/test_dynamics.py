@@ -14,7 +14,7 @@ from scipy.linalg import solve_continuous_lyapunov
 from twintrap import cli, dynamics, meanfield, pipeline
 from twintrap.dynamics import (BlowupError, UnstableSystemError,
                                build_diffusion, drift_samples,
-                               evolve_covariance, lyapunov_steady, monodromy,
+                               evolve_covariance, lyapunov_steady, period_map,
                                periodic_orbit, quasi_steady_orbit,
                                routh_hurwitz_stable, stability_check)
 from twintrap.meanfield import ConvergenceError, MeanTrajectory
@@ -477,7 +477,7 @@ def test_singular_pade_denominator_raises_and_names_step(offset):
     a_half = constant_half_grid(-np.eye(8), 6)
     a_half[6:9] = bad                     # the samples of step 3 (0-based)
     for run in (lambda: evolve_covariance(np.eye(8), a_half, np.eye(8), dt),
-                lambda: monodromy(a_half, dt)):
+                lambda: period_map(a_half, dt)):
         with pytest.raises(ConvergenceError, match="step 3 .* is singular"):
             run()
 
@@ -523,7 +523,30 @@ def test_monodromy_is_the_ordered_product_of_step_maps():
     phi = np.eye(8)
     for pk in p:
         phi = pk @ phi
-    assert np.array_equal(monodromy(a_half, dt), phi)
+    assert np.array_equal(period_map(a_half, dt)[0], phi)
+
+
+def test_period_map_noise_is_the_covariance_grown_from_zero():
+    rng = np.random.default_rng(19)
+    dt = 0.01
+    a_half = sinusoidal_half_grid(rng, 300, dt)
+    d = random_psd(rng)
+    phi, q = period_map(a_half, dt, d)
+    assert np.array_equal(
+        q, evolve_covariance(np.zeros((8, 8)), a_half, d, dt).v[-1])
+    # Both take the symmetric part of a diffusion given lopsided.
+    lopsided = d + np.triu(d)
+    assert np.array_equal(
+        period_map(a_half, dt, lopsided)[1],
+        evolve_covariance(np.zeros((8, 8)), a_half, lopsided, dt).v[-1])
+    phi_only, no_noise = period_map(a_half, dt)
+    assert np.array_equal(phi, phi_only)
+    assert no_noise is None
+
+
+def test_period_map_refuses_a_grid_without_steps():
+    with pytest.raises(ValueError, match="at least one step"):
+        period_map(constant_half_grid(-np.eye(8), 0), 0.1)
 
 
 def drift_stream(system, n_steps, dt, window_steps):
@@ -555,8 +578,9 @@ def test_streamed_drift_matches_materialized_grid(fig2_sum_scenario,
     held = evolve_covariance(v0, whole, d, dt, store_stride=3)
     assert np.array_equal(streamed.t, held.t)
     assert np.array_equal(streamed.v, held.v)
-    grid = drift_stream(system, 200, dt, dynamics.chunk_steps(1))
-    assert np.array_equal(monodromy(grid, dt), monodromy(whole, dt))
+    # The period map reads its period in one slice: one window of 200 steps.
+    grid = drift_stream(system, 200, dt, 200)
+    assert np.array_equal(period_map(grid, dt)[0], period_map(whole, dt)[0])
 
 
 def test_streamed_drift_refuses_an_out_of_order_read(fig2_sum_scenario):
@@ -690,7 +714,8 @@ def test_monodromy_is_fourth_order():
     def run(n_steps):
         dt = 2.0 / n_steps
         ts = 0.5 * dt * np.arange(2 * n_steps + 1)
-        return monodromy(base[None] + mod[None] * np.sin(3.0 * ts)[:, None, None], dt)
+        return period_map(
+            base[None] + mod[None] * np.sin(3.0 * ts)[:, None, None], dt)[0]
 
     coarse, mid, fine = run(50), run(100), run(200)
     assert np.linalg.norm(coarse - fine) / np.linalg.norm(mid - fine) >= 7.0
@@ -700,7 +725,7 @@ def test_monodromy_is_the_period_map_jacobian(fig2_sum_scenario):
     system = fig2_sum_scenario.system()
     p, drv = system.params, system.drive
     orbit, dt = orbit_and_step(system)
-    phi = monodromy(drift_samples(orbit.means, p), dt)
+    phi, _ = dynamics.period_map(drift_samples(orbit.means, p), dt)
     period = 2 * math.pi / drv.mod_frequency
     bare = orbit.means.bare_detuning
 

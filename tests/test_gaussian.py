@@ -14,8 +14,8 @@ from scipy.linalg import expm
 from twintrap import gaussian, pipeline
 from twintrap.gaussian import (EntanglementReport, eta_min, log_negativity,
                                mechanical_block, partial_transpose,
-                               phonon_occupation, report_from_covariance,
-                               symplectic_form, symplectic_spectrum)
+                               phonon_occupation, symplectic_form,
+                               symplectic_spectrum)
 
 from conftest import two_mode_squeezed_cov
 
@@ -85,7 +85,8 @@ def test_partial_transpose_is_involution():
 def test_report_round_trip():
     v8 = np.eye(8)
     v8[:4, :4] = two_mode_squeezed_cov(0.5)
-    rep = report_from_covariance(v8, stable=True)
+    eta, log_neg, nbar1, nbar2 = gaussian.measures(v8)
+    rep = EntanglementReport(eta, float(log_neg), nbar1, nbar2, stable=True)
     assert isinstance(rep, EntanglementReport)
     assert abs(rep.log_neg - 1.0) < 1e-9
     doc = rep.as_dict()
