@@ -153,14 +153,29 @@ def routh_hurwitz_stable(a: np.ndarray) -> bool | np.ndarray:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Verdict and margin of one drift matrix, or arrays of both for a stack."""
+    """Verdicts of a drift or a stack, with exact margins -max Re(eigenvalue);
+    a certified drift's is taken (``np.linalg.eigvals``) on its first read."""
 
     verdict: str | np.ndarray      # "stable" | "unstable" | "marginal"
-    margin: float | np.ndarray     # -max Re(eigenvalue)
+    drifts: np.ndarray             # (..., n, n)
+    max_re: np.ndarray             # (...), NaN until taken
 
     @property
     def stable(self) -> bool | np.ndarray:
         return self.verdict == "stable"
+
+    @property
+    def margin(self) -> float | np.ndarray:
+        return self.margins(...)
+
+    def margins(self, index) -> float | np.ndarray:
+        """The margins at ``index`` of the verdicts."""
+        missing = np.zeros(self.max_re.shape, dtype=bool)
+        missing[index] = np.isnan(self.max_re[index])
+        if missing.any():
+            self.max_re[missing] = np.linalg.eigvals(
+                self.drifts[missing]).real.max(axis=-1)
+        return -self.max_re[index]
 
 
 def _norm2(a: np.ndarray) -> np.ndarray:
@@ -171,30 +186,31 @@ def _norm2(a: np.ndarray) -> np.ndarray:
 
 
 def stability_check(a: np.ndarray) -> StabilityReport:
-    """Routh-Hurwitz verdict plus the spectral abscissa margin; one of each
-    per matrix for a stack (..., n, n).
+    """Verdict of a drift, one per matrix for a stack (..., n, n): marginal
+    where the spectral abscissa is within ``MARGINAL_TOL`` of the scale
+    max(||A||_2, 1), else that of the Routh-Hurwitz table.
 
-    The verdict is marginal where the spectral abscissa is within
-    ``MARGINAL_TOL`` of the scale max(||A||_2, 1).  Since ||A||_2 <=
-    ||A||_F, a drift outside the looser band of scale max(2 ||A||_F, 1) is
-    not marginal; ||A||_2 is computed only for the few drifts inside it, so
-    the verdicts are those of the exact rule.
+    With c = ``MARGINAL_TOL`` max(2 ||A||_F, 1) >= ``MARGINAL_TOL`` ||A||_2,
+    a Hurwitz A + cI has every Re lambda < -c (degree of stability;
+    Gantmacher, The Theory of Matrices, vol. 2, ch. XV): one table of it
+    certifies a drift stable with no eigenvalues.  Only the rest take
+    ``np.linalg.eigvals``, and ||A||_2 those inside the band of scale
+    max(2 ||A||_F, 1), so the verdicts are the exact rule's.
     """
     a = np.asarray(a, dtype=float)
-    stack = a.reshape((-1,) + a.shape[-2:])
-    max_re = np.linalg.eigvals(stack).real.max(axis=-1)
-    scale = np.maximum(2 * np.linalg.norm(stack, axis=(1, 2)), 1.0)
+    scale = np.maximum(2 * np.linalg.norm(a, axis=(-2, -1)), 1.0)
+    shift = MARGINAL_TOL * scale[..., None, None] * np.eye(a.shape[-1])
+    verdict = np.where(routh_hurwitz_stable(a + shift), "stable", "unstable")
+    report = StabilityReport(verdict, a, np.full(verdict.shape, np.nan))
+    rest = ~report.stable
+    held, scale, max_re = a[rest], scale[rest], -report.margins(rest)
     marginal = abs(max_re) <= MARGINAL_TOL * scale
     if marginal.any():
-        scale[marginal] = np.maximum(_norm2(stack[marginal]), 1.0)
+        scale[marginal] = np.maximum(_norm2(held[marginal]), 1.0)
         marginal = abs(max_re) <= MARGINAL_TOL * scale
-    verdict = np.where(marginal, "marginal", np.where(
-        routh_hurwitz_stable(stack), "stable", "unstable"))
-    verdict = verdict.reshape(a.shape[:-2])
-    margin = -max_re.reshape(a.shape[:-2])
-    if verdict.ndim == 0:
-        return StabilityReport(str(verdict), float(margin))
-    return StabilityReport(verdict, margin)
+    verdict[rest] = np.where(marginal, "marginal", np.where(
+        routh_hurwitz_stable(held), "stable", "unstable"))
+    return report if verdict.ndim else replace(report, verdict=str(verdict))
 
 
 @functools.cache
@@ -284,7 +300,7 @@ def lyapunov_steady(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     at = " (matrix {} of the stack)" if a.ndim > 2 else ""
     if not report.stable.all():
         k = int(report.stable.argmin())
-        raise unstable_drift(report.verdict[k], report.margin[k], at.format(k))
+        raise unstable_drift(report.verdict[k], report.margins(k), at.format(k))
     missed = ~(residual <= LYAPUNOV_RTOL)
     if missed.any():
         k = int(missed.argmax())
@@ -662,7 +678,7 @@ def _shoot(params: DerivedParams, drive: DriveSpec, y: np.ndarray,
     S^-1 Phi S - I, with Phi the ``period_map`` of the iterate's drift.
 
     Returns (orbit, residual); the orbit is None when the iterations do
-    not converge or an iterate goes non-finite.
+    not converge, an iterate goes non-finite or its period map is singular.
     """
     # A diverging iterate may overflow; it shows as a non-finite residual.
     with np.errstate(all="ignore"):
@@ -678,11 +694,10 @@ def _shoot(params: DerivedParams, drive: DriveSpec, y: np.ndarray,
                 return means, residual
             if it == SHOOT_NEWTON_CAP:
                 break
-            phi, _ = period_map(drift_samples(means, params), dt)
-            jac = _on_state(phi) - np.eye(8)
             try:
-                y = y - np.linalg.solve(jac, gap)
-            except np.linalg.LinAlgError:
+                phi, _ = period_map(drift_samples(means, params), dt)
+                y = y - np.linalg.solve(_on_state(phi) - np.eye(8), gap)
+            except (ConvergenceError, np.linalg.LinAlgError):
                 break
     return None, residual
 

@@ -74,21 +74,6 @@ class MeanTrajectory:
                                                          params.g_quad)
         return cls(t, y, detuning, coupling, omega_shifted, bare_detuning)
 
-    @property
-    def a(self) -> np.ndarray:
-        """Complex control-mode means, (..., 2)."""
-        return self.y[..., 4::2] + 1j * self.y[..., 5::2]
-
-    @property
-    def x(self) -> np.ndarray:
-        """Mean positions in zero-point units, (..., 2)."""
-        return self.y[..., 0:4:2]
-
-    @property
-    def p(self) -> np.ndarray:
-        """Mean momenta, (..., 2)."""
-        return self.y[..., 1:4:2]
-
     def __len__(self) -> int:
         return len(self.t)
 

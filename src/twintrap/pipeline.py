@@ -104,7 +104,7 @@ def steady_states(params: DerivedParams, cw_amplitudes: np.ndarray,
     unstable = ~stability.stable
     for k, verdict, margin in zip(confined[unstable].tolist(),
                                   stability.verdict[unstable],
-                                  stability.margin[unstable]):
+                                  stability.margins(unstable)):
         failures[k] = dynamics.unstable_drift(verdict, margin)
     for k, miss in zip(stable[~converged].tolist(), residual[~converged]):
         failures[k] = dynamics.residual_miss(miss)

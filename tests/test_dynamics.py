@@ -214,6 +214,66 @@ def test_bench_grid_takes_no_exact_norm(bench_grid, monkeypatch):
     assert rows == []
 
 
+def reference_stability(a):
+    """Verdicts and margins of a stack by the exact marginal rule, with the
+    eigenvalues of every drift."""
+    verdict = np.where(exact_marginal(a), "marginal", np.where(
+        routh_hurwitz_stable(a), "stable", "unstable"))
+    return verdict, -np.linalg.eigvals(a).real.max(axis=-1)
+
+
+def slow_stable_drift(rng):
+    """A stable 8x8 drift whose spectral abscissa -2e-5 lies between -c, the
+    shift of the certifying table, and -MARGINAL_TOL ||A||_2 = -1e-5."""
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    return q @ np.diag([-2e-5] + [-1e3] * 7) @ q.T
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stability_check_is_the_exact_rule(seed, bench_grid):
+    rng = np.random.default_rng(seed)
+    slow = slow_stable_drift(rng)
+    shift = dynamics.MARGINAL_TOL * max(2 * np.linalg.norm(slow), 1.0)
+    assert not routh_hurwitz_stable(slow + shift * np.eye(8))
+    for stack in (bench_grid[0], mixed_drifts(rng), near_marginal_drifts(rng),
+                  slow[None]):
+        report = stability_check(stack)
+        verdict, margin = reference_stability(stack)
+        assert np.array_equal(report.verdict, verdict)
+        held = verdict != "stable"
+        assert np.array_equal(report.margins(held), margin[held])
+    assert stability_check(slow).verdict == "stable"
+
+
+def counted_eigvals(monkeypatch):
+    """Count the matrices handed to ``np.linalg.eigvals``."""
+    rows = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: rows.append(
+        int(np.prod(np.shape(a)[:-2]))) or eigvals(a))
+    return rows
+
+
+def test_certified_drifts_take_no_eigenvalues(bench_grid, fig1_scenario,
+                                              monkeypatch):
+    rows = counted_eigvals(monkeypatch)
+    assert stability_check(bench_grid[0]).stable.all()
+    assert sum(rows) == 0
+    # A certified margin is exact when read.
+    assert stability_check(-np.eye(4)).margin == 1.0 and rows == [1]
+    # A sweep takes the eigenvalues of its uncertified drifts only: of the
+    # four points, detuning -1 is unstable and 0 misses the residual bound.
+    # The second call is the symplectic spectra of the two solved points
+    # (``gaussian.measures``).
+    del rows[:]
+    drives = [fig1_scenario.system(detuning=x).drive
+              for x in (0.5, -1.0, 1.0, 0.0)]
+    states = pipeline.steady_states(
+        fig1_scenario.params, np.array([d.cw_amplitudes for d in drives]),
+        np.array([d.detunings for d in drives]))
+    assert sorted(states.failures) == [1, 3] and rows == [1, 2]
+
+
 # ------------------------------------------------------- Lyapunov solves
 
 def test_lyapunov_residual_and_positivity():
@@ -765,6 +825,33 @@ def test_stalled_shooting_raises_with_residual(fig2_sum_scenario, monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         orbit_and_step(fig2_sum_scenario.system())
     assert math.isfinite(err.value.residual) and err.value.residual > 0
+
+
+def test_singular_period_map_fails_only_its_attempt(fig2_sum_scenario,
+                                                    monkeypatch):
+    # A diverging Newton iterate can make a Pade denominator of its period
+    # map singular.  That attempt fails like any other and the continuation
+    # halves the step, to the same orbit.
+    system = fig2_sum_scenario.system()
+    orbit, _ = orbit_and_step(system)
+    calls = []
+    period_map = dynamics.period_map
+
+    def singular_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise ConvergenceError("Pade denominator of step 9 is singular",
+                                   1e-40)
+        return period_map(*args)
+
+    monkeypatch.setattr(dynamics, "period_map", singular_once)
+    integrations = count_integrations(monkeypatch)
+    halved, _ = orbit_and_step(system)
+    half = tuple(0.5 * e for e in system.drive.mod_amplitudes)
+    assert any(args[1].mod_amplitudes == half for args in integrations)
+    assert halved.residual < dynamics.SHOOT_TOL
+    y0 = orbit.means.y[0]
+    assert np.max(np.abs(halved.means.y[0] - y0)) <= 1e-9 * np.max(np.abs(y0))
 
 
 def bare_start(monkeypatch):
