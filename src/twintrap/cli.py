@@ -57,6 +57,8 @@ ROW_CHUNK = 1024
 EXIT_CODES = {ConfigError: EXIT_CONFIG, OSError: EXIT_CONFIG,
               UnstableSystemError: EXIT_UNSTABLE, BlowupError: EXIT_UNSTABLE,
               ConvergenceError: EXIT_NOCONV}
+#: Status of a failed ``sweep`` row, from the exit code of its error.
+ROW_STATUS = {EXIT_UNSTABLE: "unstable", EXIT_NOCONV: "unconverged"}
 
 
 def exit_code(exc: Exception) -> int:
@@ -187,13 +189,12 @@ def cmd_sweep(scenario: Scenario, args) -> int:
     lines = list(_csv_rows(np.column_stack(
         [values, states.eta_min, states.log_neg, states.nbar1,
          states.nbar2]), ",stable"))
-    for k, error in states.failures.items():
-        status = ("unstable" if isinstance(error, UnstableSystemError)
-                  else "unconverged")
-        lines[k] = f"{values[k]:.12g},,,,,{status}\n"
+    codes = {k: exit_code(error) for k, error in states.failures.items()}
+    for k, code in codes.items():
+        lines[k] = f"{values[k]:.12g},,,,,{ROW_STATUS[code]}\n"
     _write_csv(args, "sweep.csv",
                (axis,) + SERIES_COLUMNS[1:] + ("stability",), lines)
-    return max(map(exit_code, states.failures.values()), default=EXIT_OK)
+    return max(codes.values(), default=EXIT_OK)
 
 
 def cmd_effective(scenario: Scenario, args) -> int:

@@ -235,25 +235,17 @@ def _vech_tables(n: int) -> tuple[np.ndarray, ...]:
     return iu, ju, pos, row, i * n + k, pos[k, j], j * n + k, pos[i, k]
 
 
-def unstable_drift(verdict: str, margin: float,
-                   where: str = "") -> UnstableSystemError:
-    """The error of a drift with no steady state; ``where`` names it."""
-    return UnstableSystemError(
-        f"no steady state: drift is {verdict} (margin {margin:.3e}){where}")
-
-
-def residual_miss(residual: float, where: str = "") -> ConvergenceError:
-    """The error of a steady covariance that misses ``LYAPUNOV_RTOL``."""
-    return ConvergenceError(
-        f"Lyapunov residual {residual:.3e} above bound "
-        f"{LYAPUNOV_RTOL:.0e}{where}", float(residual))
-
-
 def steady_covariance(a: np.ndarray, d: np.ndarray
-                      ) -> tuple[StabilityReport, np.ndarray, np.ndarray]:
-    """Stability verdicts of drifts (..., n, n), taken as a flat stack
-    (B, n, n), and the steady covariances of the stable ones, in order,
-    with the relative residual ||A V + V A^T + D|| / ||D|| of each.
+                      ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Steady covariances V of drifts (..., n, n), taken as a flat stack
+    (B, n, n), with the relative residual ||A V + V A^T + D|| / ||D|| of
+    each, and the error of each failed slot, in slot order.  V is NaN in a
+    failed slot, and the residual in a slot that is not solved.
+
+    This is the one place that builds the errors of a drift and of its
+    solve: an ``UnstableSystemError`` naming the verdict and margin of a
+    drift ``stability_check`` does not rule stable, which is not solved,
+    and a ``ConvergenceError`` carrying a residual above ``LYAPUNOV_RTOL``.
 
     Solves A V + V A^T + D = 0 for its m = n (n + 1) / 2 independent
     unknowns V_ij, i <= j (the vech form of Magnus & Neudecker, 1980): one
@@ -261,8 +253,7 @@ def steady_covariance(a: np.ndarray, d: np.ndarray
     ``LYAPUNOV_CHUNK`` matrices at a time.  The right-hand side is the
     upper triangle of the symmetric part of D, and V is filled
     symmetrically from the solution.  ``d`` is one diffusion matrix or a
-    stack of them.  The residual is taken against the given D; a solution
-    counts only if it meets ``LYAPUNOV_RTOL``, which the callers enforce.
+    stack of them.  The residual is taken against the given D.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
@@ -271,10 +262,10 @@ def steady_covariance(a: np.ndarray, d: np.ndarray
     report = stability_check(a)
     iu, ju, pos, row, a_ik, v_kj, a_jk, v_ik = _vech_tables(n)
     m = len(iu)
-    a, d = a[report.stable], d[report.stable]
-    v = np.empty_like(a)
-    for start in range(0, len(a), LYAPUNOV_CHUNK):
-        chunk = slice(start, start + LYAPUNOV_CHUNK)
+    v = np.full(a.shape, np.nan)
+    held = np.flatnonzero(report.stable)
+    for start in range(0, len(held), LYAPUNOV_CHUNK):
+        chunk = held[start:start + LYAPUNOV_CHUNK]
         flat, dc = a[chunk].reshape(-1, n * n), d[chunk]
         # A_ik multiplies V_kj and A_jk multiplies V_ik in equation (i, j).
         lhs = np.zeros((len(dc), m, m))
@@ -285,27 +276,38 @@ def steady_covariance(a: np.ndarray, d: np.ndarray
     av = a @ v
     residual = (np.linalg.norm(av + av.swapaxes(1, 2) + d, axis=(1, 2))
                 / np.linalg.norm(d, axis=(1, 2)))
-    return report, v, residual
+    failures: dict[int, Exception] = {}
+    unstable = ~report.stable
+    for k, verdict, margin in zip(np.flatnonzero(unstable).tolist(),
+                                  report.verdict[unstable],
+                                  report.margins(unstable)):
+        failures[k] = UnstableSystemError(
+            f"no steady state: drift is {verdict} (margin {margin:.3e})")
+    missed = report.stable & ~(residual <= LYAPUNOV_RTOL)
+    for k in np.flatnonzero(missed).tolist():
+        failures[k] = ConvergenceError(
+            f"Lyapunov residual {residual[k]:.3e} above bound "
+            f"{LYAPUNOV_RTOL:.0e}", float(residual[k]))
+    v[list(failures)] = np.nan
+    return v, residual, dict(sorted(failures.items()))
 
 
 def lyapunov_steady(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Steady covariance from A V + V A^T + D = 0, for one drift matrix or a
-    stack (..., n, n), solved by ``steady_covariance``.
+    """Steady covariance from A V + V A^T + D = 0 of one drift matrix
+    (n, n), solved by ``steady_covariance``.
 
-    Raises ``UnstableSystemError`` (no steady state) or ``ConvergenceError``
-    (residual above ``LYAPUNOV_RTOL``), naming a stack's first such matrix.
+    Raises its error: ``UnstableSystemError`` (no steady state) or
+    ``ConvergenceError`` (residual above ``LYAPUNOV_RTOL``).  A stack of
+    drifts is refused with ``ValueError``; ``steady_covariance`` solves one.
     """
     a = np.asarray(a, dtype=float)
-    report, v, residual = steady_covariance(a, d)
-    at = " (matrix {} of the stack)" if a.ndim > 2 else ""
-    if not report.stable.all():
-        k = int(report.stable.argmin())
-        raise unstable_drift(report.verdict[k], report.margins(k), at.format(k))
-    missed = ~(residual <= LYAPUNOV_RTOL)
-    if missed.any():
-        k = int(missed.argmax())
-        raise residual_miss(residual[k], at.format(k))
-    return v.reshape(a.shape)
+    if a.ndim != 2:
+        raise ValueError(f"lyapunov_steady takes one drift (n, n), not shape "
+                         f"{a.shape}; solve a stack with steady_covariance")
+    v, _, failures = steady_covariance(a[None], d)
+    if failures:
+        raise failures[0]
+    return v[0]
 
 
 @dataclass(frozen=True)
@@ -620,29 +622,29 @@ def period_map(a_half, dt: float, d: np.ndarray | None = None
 
 @dataclass(frozen=True)
 class QuasiSteadyOrbit:
-    """One drive period extracted from the tail of a covariance trajectory."""
+    """The sample times of the final drive period of a covariance
+    trajectory, and whether its covariance repeats the period before."""
 
     t: np.ndarray
-    v: np.ndarray
     converged: bool
     period_change: float
 
 
 def quasi_steady_orbit(traj: CovTrajectory, n_per: int) -> QuasiSteadyOrbit:
-    """Final-period samples, flagged converged when the period-to-period
+    """Final-period sample times, flagged converged when the period-to-period
     relative covariance change falls below ``QUASI_STEADY_TOL``.
 
     ``n_per`` is the number of stored samples per drive period, so the
     final period is the last ``n_per + 1`` samples.
     """
     if len(traj) < 2 * n_per + 1:
-        return QuasiSteadyOrbit(traj.t, traj.v, False, np.inf)
+        return QuasiSteadyOrbit(traj.t, False, np.inf)
     last = traj.v[-(n_per + 1):]
     prev = traj.v[-(2 * n_per + 1):-n_per]
     change = float(np.max(
         np.linalg.norm(last - prev, axis=(1, 2)) / np.linalg.norm(last, axis=(1, 2))))
-    return QuasiSteadyOrbit(traj.t[-(n_per + 1):], last,
-                            change < QUASI_STEADY_TOL, change)
+    return QuasiSteadyOrbit(traj.t[-(n_per + 1):], change < QUASI_STEADY_TOL,
+                            change)
 
 
 @dataclass(frozen=True)

@@ -72,42 +72,31 @@ def steady_states(params: DerivedParams, cw_amplitudes: np.ndarray,
 
     One ``meanfield.cw_working_points`` call gives the working points, one
     ``drift_samples`` call their drifts and one diffusion matrix serves
-    them all; one stability check, Lyapunov solve and Gaussian analysis
-    cover the stack, and their results are scattered into the slots of
-    the points they belong to.  The error of a point with no steady state
-    is an ``UnstableSystemError`` for a trap that does not confine or a
-    drift that is not stable, and a ``ConvergenceError`` for a Lyapunov
-    residual that misses ``dynamics.LYAPUNOV_RTOL``.  The drives must be
-    CW (``require_cw``); the arrays carry no modulation.
+    them all; one ``dynamics.steady_covariance`` call solves the confined
+    points' drifts and names the failures among them, which are scattered
+    into the slots of their points, beside the ``UnstableSystemError`` of
+    each point whose trap does not confine.  One Gaussian analysis covers
+    the points with no failure.  The drives must be CW (``require_cw``);
+    the arrays carry no modulation.
     """
     wp, confining = meanfield.cw_working_points(params, cw_amplitudes,
                                                 detunings)
-    stability, v, residual = dynamics.steady_covariance(
+    v, _, failed = dynamics.steady_covariance(
         dynamics.drift_samples(wp, params)[confining],
         dynamics.build_diffusion(params))
     confined = np.flatnonzero(confining)
-    stable = confined[stability.stable]
-    converged = residual <= dynamics.LYAPUNOV_RTOL
-    solved = stable[converged]
+    failures = {k: meanfield.UnstableSystemError.unconfined(wp.omega_shifted[k])
+                for k in np.flatnonzero(~confining).tolist()}
+    failures.update((int(confined[k]), error) for k, error in failed.items())
 
     b, n = len(confining), v.shape[-1]
     cov = np.full((b, n, n), np.nan)
-    cov[solved] = v[converged]
+    cov[confined] = v
+    solved = np.ones(b, dtype=bool)
+    solved[list(failures)] = False
     measures = [np.full(b, np.nan) for _ in range(4)]
-    for full, got in zip(measures, gaussian.measures(v[converged])):
+    for full, got in zip(measures, gaussian.measures(cov[solved])):
         full[solved] = got
-
-    failures = {}
-    for k in np.flatnonzero(~confining).tolist():
-        failures[k] = meanfield.UnstableSystemError.unconfined(
-            wp.omega_shifted[k])
-    unstable = ~stability.stable
-    for k, verdict, margin in zip(confined[unstable].tolist(),
-                                  stability.verdict[unstable],
-                                  stability.margins(unstable)):
-        failures[k] = dynamics.unstable_drift(verdict, margin)
-    for k, miss in zip(stable[~converged].tolist(), residual[~converged]):
-        failures[k] = dynamics.residual_miss(miss)
     return SteadyStates(*measures, cov=cov, failures=dict(sorted(
         failures.items())))
 

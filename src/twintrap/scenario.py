@@ -124,19 +124,19 @@ class Scenario:
             params = model.derive_params(objects, self.geometry,
                                          self.environment, drive.trap_amplitude)
         if detuning is not None:
-            d = detuning * params.omega_mech[0]
-            drive = replace(drive, detunings=(d, d))
+            _, (d,) = self.drive_stack("detuning", [detuning])
+            drive = replace(drive, detunings=tuple(d.tolist()))
         if control_fraction is not None:
-            e = control_fraction * drive.trap_amplitude
-            drive = replace(drive, cw_amplitudes=(e, e))
+            (e,), _ = self.drive_stack("control_fraction", [control_fraction])
+            drive = replace(drive, cw_amplitudes=tuple(e.tolist()))
         return System(params=params, drive=drive)
 
     def drive_stack(self, axis: str, values) -> tuple[np.ndarray, np.ndarray]:
         """The (B, 2) CW amplitudes and effective detunings of the drive
         with ``axis`` (one of ``SWEEP_AXES``) set to each of the B
-        ``values``, in the relative units of ``system``'s overrides and
-        with the same products, so each row is bit-equal to the drive of
-        ``system(**{axis: value})``.  The modulation is not part of the
+        ``values``, in the relative units of ``system``'s overrides.
+        ``system`` takes its overrides from here, so each row is the drive
+        of ``system(**{axis: value})``.  The modulation is not part of the
         stack: the callers check the drive is CW.
         """
         values = np.asarray(values, dtype=float)[:, None]

@@ -299,8 +299,8 @@ def test_stacked_lyapunov_matches_scipy():
     rng = np.random.default_rng(6)
     a = np.array([random_stable_drift(rng) for _ in range(5)])
     d = np.array([random_psd(rng) for _ in range(5)])
-    v = lyapunov_steady(a, d)
-    assert v.shape == (5, 8, 8)
+    v, _, failures = dynamics.steady_covariance(a, d)
+    assert not failures and v.shape == (5, 8, 8)
     for k in range(5):
         assert np.allclose(v[k], solve_continuous_lyapunov(a[k], -d[k]),
                            rtol=1e-9)
@@ -311,12 +311,15 @@ def test_lyapunov_stack_longer_than_a_chunk():
     n = dynamics.LYAPUNOV_CHUNK + 7
     a = np.array([random_stable_drift(rng) for _ in range(n)])
     d = random_psd(rng)
-    v = lyapunov_steady(a, d)
+    v, _, failures = dynamics.steady_covariance(a, d)
+    assert not failures
     for k in (0, dynamics.LYAPUNOV_CHUNK - 1, dynamics.LYAPUNOV_CHUNK, n - 1):
         assert np.array_equal(v[k], lyapunov_steady(a[k], d))
     a[n - 3] = -a[n - 3]
-    with pytest.raises(UnstableSystemError, match=f"matrix {n - 3} of"):
-        lyapunov_steady(a, d)
+    v, _, failures = dynamics.steady_covariance(a, d)
+    assert list(failures) == [n - 3]
+    assert isinstance(failures[n - 3], UnstableSystemError)
+    assert np.isnan(v[n - 3]).all()
 
 
 def kronecker_lyapunov(a, d):
@@ -348,8 +351,8 @@ def bench_grid(fig1_scenario):
 
 
 def assert_matches_kronecker(a, d):
-    report, v, residual = dynamics.steady_covariance(a, d)
-    assert report.stable.all() and residual.max() <= dynamics.LYAPUNOV_RTOL
+    v, residual, failures = dynamics.steady_covariance(a, d)
+    assert not failures and residual.max() <= dynamics.LYAPUNOV_RTOL
     ref = kronecker_lyapunov(a, d)
     err = np.abs(v - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
     assert err.max() < 1e-12
@@ -378,13 +381,13 @@ def test_non_symmetric_diffusion_misses_the_residual_bound():
     sym = random_psd(rng)
     skew = 1e-3 * rng.normal(size=(8, 8))
     skew -= skew.T
-    _, _, residual = dynamics.steady_covariance(a[None], sym + skew)
+    _, residual, _ = dynamics.steady_covariance(a[None], sym + skew)
     expect = np.linalg.norm(skew) / np.linalg.norm(sym + skew)
     assert residual[0] == pytest.approx(expect, rel=1e-6)
     with pytest.raises(ConvergenceError, match="Lyapunov residual") as err:
         lyapunov_steady(a, sym + skew)
     assert err.value.residual == residual[0]
-    _, v, _ = dynamics.steady_covariance(a[None], sym)
+    v, _, _ = dynamics.steady_covariance(a[None], sym)
     assert np.allclose(v[0], kronecker_lyapunov(a[None], sym)[0],
                        rtol=0, atol=1e-12 * np.abs(v).max())
 
@@ -407,19 +410,51 @@ def test_lyapunov_bound_miss_exits_4(fig1_scenario, monkeypatch, capsys):
     assert "Lyapunov residual" in capsys.readouterr().err
 
 
-def test_lyapunov_steady_names_the_matrix_that_misses(fig1_scenario):
+def fig1_drifts(scenario, detunings):
+    """The drifts at the CW working points of fig1_cw's drive at each of
+    the ``detunings`` (in Omega_1), and its diffusion."""
+    p = scenario.params
+    wp, _ = meanfield.cw_working_points(
+        p, *scenario.drive_stack("detuning", detunings))
+    return drift_samples(wp, p), build_diffusion(p)
+
+
+def test_steady_covariance_fails_the_slot_that_misses(fig1_scenario):
     # At detuning 0 the drift is stable through mechanical damping alone
     # and its residual (3.4e-8) misses the bound; its neighbours meet it.
-    p = fig1_scenario.params
-    drives = [fig1_scenario.system(detuning=x).drive for x in (0.5, 0.0, 1.0)]
-    wp, _ = meanfield.cw_working_points(
-        p, np.array([d.cw_amplitudes for d in drives]),
-        np.array([d.detunings for d in drives]))
-    with pytest.raises(ConvergenceError,
-                       match=r"above bound 1e-10 \(matrix 1 of the stack\)"
-                       ) as err:
-        lyapunov_steady(drift_samples(wp, p), build_diffusion(p))
-    assert err.value.residual > dynamics.LYAPUNOV_RTOL
+    v, residual, failures = dynamics.steady_covariance(
+        *fig1_drifts(fig1_scenario, [0.5, 0.0, 1.0]))
+    assert list(failures) == [1]
+    assert isinstance(failures[1], ConvergenceError)
+    assert failures[1].residual == residual[1] > dynamics.LYAPUNOV_RTOL
+    assert np.isnan(v[1]).all() and not np.isnan(v[[0, 2]]).any()
+
+
+def test_steady_covariance_names_each_failed_slot(fig1_scenario):
+    # Stable, unstable (detuning -1), missed (detuning 0), marginal and
+    # stable again: the failed slots hold NaN and their errors, in slot
+    # order, with the margin or residual in the message.
+    a, d = fig1_drifts(fig1_scenario, [0.5, -1.0, 0.0, 0.5, 1.0])
+    a[3] = np.diag([0.0] + [-1.0] * 7)
+    v, residual, failures = dynamics.steady_covariance(a, d)
+    assert list(failures) == [1, 2, 3]
+    assert [type(e) for e in failures.values()] == [
+        UnstableSystemError, ConvergenceError, UnstableSystemError]
+    margin = -np.linalg.eigvals(a[[1, 3]]).real.max(axis=-1)
+    assert [str(e) for e in failures.values()] == [
+        f"no steady state: drift is unstable (margin {margin[0]:.3e})",
+        f"Lyapunov residual {residual[2]:.3e} above bound 1e-10",
+        f"no steady state: drift is marginal (margin {margin[1]:.3e})"]
+    assert failures[2].residual == residual[2]
+    assert np.isnan(residual[[1, 3]]).all()
+    assert (residual[[0, 4]] <= dynamics.LYAPUNOV_RTOL).all()
+    nan_rows = np.isnan(v).all(axis=(1, 2))
+    assert nan_rows.tolist() == [False, True, True, True, False]
+    assert not np.isnan(v[[0, 4]]).any()
+    with pytest.raises(UnstableSystemError, match="unstable"):
+        lyapunov_steady(a[1], d)
+    with pytest.raises(ValueError, match="steady_covariance"):
+        lyapunov_steady(a, d)
 
 
 def test_blue_detuned_stable_sweep(tmp_path, capsys):
