@@ -156,7 +156,9 @@ def _scalar_rhs(params: DerivedParams, bare: np.ndarray):
     ``rhs(e1, e2, x1, p1, x2, p2, ar1, ai1, ar2, ai2)`` takes the control
     drives E_i(t) and the state (mean quadratures, then the real and
     imaginary parts of <a_i>) and returns the 8 time derivatives.  Plain
-    Python floats avoid NumPy's per-call cost on 8-element arrays.
+    Python floats avoid NumPy's per-call cost on 8-element arrays and its
+    slower arithmetic on NumPy scalars, so every argument should be a
+    ``float``.
     """
     (gl11, gl12), (gl21, gl22) = params.g_lin.tolist()
     (tq11, tq12), (tq21, tq22) = (2 * params.g_quad).tolist()
@@ -209,17 +211,20 @@ def mean_windows(params: DerivedParams, drive: DriveSpec,
     slope there are carried, so the samples do not depend on the window
     length.  Starts from the CW fixed point of the unmodulated drive unless
     an explicit initial point is given.  The state is carried as Python
-    floats.
+    floats, so ``t_span``, ``dt``, the drive amplitudes and the modulation
+    frequency are converted to ``float`` on entry: one NumPy scalar among
+    them would make every stage sum and RHS call NumPy scalar arithmetic,
+    about three times slower for the same values.
     """
     if initial is None:
         initial = steady_means(params, drive.unmodulated())
     bare = initial.bare_detuning
     rhs = _scalar_rhs(params, bare)
-    (c1, c2), (m1, m2) = drive.cw_amplitudes, drive.mod_amplitudes
-    w = drive.mod_frequency
+    c1, c2, m1, m2, w, t0, t1, dt = map(float, (
+        *drive.cw_amplitudes, *drive.mod_amplitudes, drive.mod_frequency,
+        *t_span, dt))
     cos = math.cos
 
-    t0, t1 = t_span
     n_steps = max(1, int(round((t1 - t0) / dt)))
     dt = (t1 - t0) / n_steps
     half = dt / 2

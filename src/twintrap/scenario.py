@@ -378,7 +378,7 @@ def parse_scenario(doc: dict) -> Scenario:
     # drive through the trap amplitude alone, and their trap frequencies
     # Omega_j fix the relative drive units.
     params = model.derive_params(objs, geometry, environment, e0)
-    w1, w2 = params.omega_mech
+    w1, w2 = params.omega_mech.tolist()
     if freq_key == "modulation_frequency_sum_units":
         omega_d *= w1 + w2
     if det_key == "detunings_omega1_units":

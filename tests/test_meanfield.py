@@ -438,3 +438,72 @@ def test_evolve_steps_the_means_once_per_covariance_step(fig2_sum_scenario,
     n_steps = len(result.cov) - 1
     assert n_steps == 256
     assert calls == 4 * n_steps + 1
+
+
+# ------------------------------------------------- the loop's float contract
+
+@pytest.fixture
+def float_only_rhs(monkeypatch):
+    """Every RHS call of the mean-field loop asserts that each of its
+    arguments is a Python float, not a NumPy scalar."""
+    make_rhs = meanfield._scalar_rhs
+
+    def checking(params, bare):
+        rhs = make_rhs(params, bare)
+
+        def checked(*args):
+            assert all(type(arg) is float for arg in args), \
+                [type(arg).__name__ for arg in args]
+            return rhs(*args)
+
+        return checked
+
+    monkeypatch.setattr(meanfield, "_scalar_rhs", checking)
+
+
+def numpy_scalar_drive(drive):
+    """The same drive with every amplitude and the modulation frequency a
+    NumPy float64."""
+    return dataclasses.replace(
+        drive, cw_amplitudes=tuple(np.float64(e) for e in drive.cw_amplitudes),
+        mod_amplitudes=tuple(np.float64(e) for e in drive.mod_amplitudes),
+        mod_frequency=np.float64(drive.mod_frequency))
+
+
+def test_windows_run_on_floats_from_numpy_scalar_inputs(fig2_sum_scenario,
+                                                        float_only_rhs):
+    system = fig2_sum_scenario.system()
+    p, drv = system.params, system.drive
+    dt = 2 * math.pi / drv.mod_frequency / 64
+    floats = list(mean_windows(p, drv, (0.0, 40 * dt), dt, window_steps=16))
+    scalars = list(mean_windows(
+        p, numpy_scalar_drive(drv), (np.float64(0.0), np.float64(40 * dt)),
+        np.float64(dt), window_steps=16))
+    assert len(scalars) == len(floats) == 3
+    for got, want in zip(scalars, floats):
+        assert np.array_equal(got.t, want.t)
+        assert np.array_equal(got.y, want.y)
+
+
+def test_evolve_runs_the_means_on_floats(fig2_sum_scenario, float_only_rhs):
+    # The scenario comes from its YAML file, whose trap frequencies (and so
+    # its modulation frequency) are derived in NumPy.
+    system = fig2_sum_scenario.system()
+    floats = pipeline.evolve(system, t_max_tau=2.0)
+    scalars = pipeline.evolve(
+        dataclasses.replace(system, drive=numpy_scalar_drive(system.drive)),
+        t_max_tau=2.0)
+    assert np.array_equal(scalars.cov.v, floats.cov.v)
+    assert np.array_equal(scalars.eta_min, floats.eta_min)
+
+
+def test_periodic_orbit_runs_the_means_on_floats(fig2_half_scenario,
+                                                 float_only_rhs):
+    system = fig2_half_scenario.system()
+    p, drv = system.params, system.drive
+    dt = 2 * math.pi / drv.mod_frequency / 256
+    floats = dynamics.periodic_orbit(p, drv, dt)
+    scalars = dynamics.periodic_orbit(p, numpy_scalar_drive(drv),
+                                      np.float64(dt))
+    assert np.array_equal(scalars.means.y, floats.means.y)
+    assert (scalars.rho, scalars.residual) == (floats.rho, floats.residual)

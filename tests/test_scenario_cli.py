@@ -32,6 +32,18 @@ def test_shipped_scenarios_load(name):
 
 
 @pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_drive_scalars_are_python_floats(name):
+    # The mean-field loop runs on Python floats; a NumPy scalar here (one
+    # taken from the omega_mech array, say) keeps every value but turns
+    # each step that reads it into NumPy scalar arithmetic.
+    drive = load_scenario(shipped_scenario(name)).drive
+    for f in dataclasses.fields(drive):
+        value = getattr(drive, f.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            assert type(x) is float, (f.name, type(x).__name__)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_scenarios_parse_alike_with_both_loaders(name):
     if not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML built without libyaml")
