@@ -18,9 +18,7 @@ from twintrap.scenario import load_scenario, shipped_scenario
 
 for name, label in (("fig2_sum", "sum frequency  w_D = W1 + W2"),
                     ("fig2_half", "half frequency w_D = (W1 + W2)/2")):
-    scenario = load_scenario(shipped_scenario(name))
-    system = scenario.system()
-    result = pipeline.evolve(system, t_max_tau=scenario.numerics.t_max_tau)
+    result = pipeline.evolve(load_scenario(shipped_scenario(name)))
     tail = slice(-len(result.orbit.t), None)   # the final drive period
     eta_tail = result.eta_min[tail].min()
     en_tail = result.log_neg[tail].max()

@@ -23,7 +23,7 @@ scenario = load_scenario(shipped_scenario("fig3_nanosphere"))
 for scale in (1.0, 0.1):
     system = scenario.system(recoil_scale=scale)
     heating = system.params.recoil[0]
-    result = pipeline.evolve(system, t_max_tau=scenario.numerics.t_max_tau)
+    result = pipeline.evolve(system)
     eta_tail = result.eta_min[-len(result.orbit.t):].min()
     print(f"recoil_scale = {scale}:")
     print(f"  recoil heating rate Gamma = {heating:.3e} phonons/s "

@@ -13,6 +13,8 @@ Runtime: about 2 s, dominated by the mean-field integration (measured on a
 2-vCPU x86-64 VM).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from twintrap import pipeline
@@ -20,11 +22,10 @@ from twintrap.gaussian import log_negativity, mechanical_block
 from twintrap.readout import (ProbeSpec, output_observables,
                               reconstruct_mech_cov,
                               reconstruction_condition)
-from twintrap.scenario import load_scenario, shipped_scenario
+from twintrap.scenario import Numerics, load_scenario, shipped_scenario
 
 scenario = load_scenario(shipped_scenario("fig2_sum"))
-system = scenario.system()
-result = pipeline.evolve(system, t_max_tau=120)
+result = pipeline.evolve(replace(scenario, numerics=Numerics(t_max_tau=120.0)))
 v_mech = mechanical_block(result.cov.v[-1])
 true_en = log_negativity(v_mech)
 

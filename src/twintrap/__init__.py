@@ -72,7 +72,6 @@ from .pipeline import (
     EffectiveReport,
     EvolveResult,
     SteadyStates,
-    System,
     effective_report,
     evolve,
     steady_state,

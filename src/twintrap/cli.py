@@ -147,10 +147,7 @@ def cmd_steady(scenario: Scenario, args) -> int:
 
 
 def cmd_evolve(scenario: Scenario, args) -> int:
-    num = scenario.numerics
-    result = pipeline.evolve(scenario.system(), t_max_tau=num.t_max_tau,
-                             steps_per_period=num.steps_per_period,
-                             store_per_period=num.store_per_period)
+    result = pipeline.evolve(scenario.system())
     table = np.column_stack([result.t_over_tau, result.eta_min,
                              result.log_neg, result.nbar1, result.nbar2])
     final = slice(-len(result.orbit.t), None)

@@ -119,7 +119,6 @@ class EntanglementReport:
 def measures(v: np.ndarray) -> tuple:
     """(eta_min, E_N, nbar1, nbar2) of an 8x8 (or mechanical 4x4) covariance
     matrix; one array each, one entry per matrix, for a stack (B, n, n)."""
-    block = mechanical_block(v)
-    eta = eta_min(block)
+    eta = eta_min(v)
     return (eta, np.maximum(0.0, -np.log(2.0 * eta)),
-            phonon_occupation(block, 1), phonon_occupation(block, 2))
+            phonon_occupation(v, 1), phonon_occupation(v, 2))

@@ -139,7 +139,6 @@ class CavityGeometry:
 class Environment:
     temperature: float                  # K
     pressure: float | None = None       # mbar, informational
-    air_molecular_mass: float | None = None  # kg, informational
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -202,15 +201,12 @@ class DerivedParams:
     frequencies and couplings are angular (rad/s).
     """
 
-    mass: np.ndarray                 # (2,) kg
     omega_mech: np.ndarray           # (2,) trap frequencies Omega_j
     x_zp: np.ndarray                 # (2,) zero-point motion (m)
     gamma: np.ndarray                # (2,) gas/tether damping
     recoil: np.ndarray               # (2,) photon-recoil heating dn/dt, Gamma_j
     n_thermal: np.ndarray            # (2,) thermal occupancy
     kappa: np.ndarray                # (3,) cavity linewidths, trap first
-    mode_volume: float               # m^3
-    g_bare: np.ndarray               # (3, 2) single-photon couplings g_ij
     g_lin: np.ndarray                # (2, 2) control-mode linear couplings
     g_quad: np.ndarray               # (2, 2) control-mode quadratic couplings
     trap_photons: float              # |<a_0>|^2
@@ -365,10 +361,9 @@ def derive_params(objects: tuple[ObjectSpec, ObjectSpec],
                 raise ConfigError("quadratic coupling dominates away from an antinode")
 
     return DerivedParams(
-        mass=mass, omega_mech=omega_mech, x_zp=x_zp, gamma=gamma, recoil=recoil,
-        n_thermal=n_thermal, kappa=kappa, mode_volume=geom.mode_volume,
-        g_bare=g_bare, g_lin=g_lin, g_quad=g_quad, trap_photons=trap_photons,
-        lamb_dicke=lamb_dicke,
+        omega_mech=omega_mech, x_zp=x_zp, gamma=gamma, recoil=recoil,
+        n_thermal=n_thermal, kappa=kappa, g_lin=g_lin, g_quad=g_quad,
+        trap_photons=trap_photons, lamb_dicke=lamb_dicke,
     )
 
 

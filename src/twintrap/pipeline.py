@@ -1,5 +1,8 @@
 """High-level drivers tying model -> meanfield -> dynamics -> gaussian.
 
+The one-drive verbs (``steady_state``, ``evolve``, ``effective_report``)
+run a resolved ``Scenario``; ``steady_states`` runs a stack of CW drives.
+
 Every quantity is SI: rates in rad/s, times in seconds.  The solvers'
 tolerances are relative or act on the dimensionless mean state and
 covariance, so no internal time unit is needed.  The reporting unit of time
@@ -15,26 +18,15 @@ import numpy as np
 
 from . import dynamics, effective, gaussian, meanfield
 from .model import ConfigError, DerivedParams, DriveSpec
+from .scenario import Scenario
 
 #: Steps per cycle of the fastest rate in the drift (fixed-step rule).
 STEPS_PER_CYCLE = 200
 
 
-@dataclass(frozen=True)
-class System:
-    """A derived parameter set with its drive, in SI units."""
-
-    params: DerivedParams
-    drive: DriveSpec
-
-    @property
-    def tau(self) -> float:
-        return 4 * math.pi / float(self.params.omega_mech.sum())
-
-
-def timestep(system: System) -> float:
+def timestep(scenario: Scenario) -> float:
     """dt <= 2 pi / (200 max(Omega, Delta, kappa, w_D)), in SI seconds."""
-    p, d = system.params, system.drive
+    p, d = scenario.params, scenario.drive
     fastest = max(float(np.max(p.omega_mech)), float(np.max(np.abs(d.detunings))),
                   float(np.max(p.kappa)), d.mod_frequency)
     return 2 * math.pi / (STEPS_PER_CYCLE * fastest)
@@ -101,13 +93,13 @@ def steady_states(params: DerivedParams, cw_amplitudes: np.ndarray,
         failures.items())))
 
 
-def steady_state(system: System) -> tuple[gaussian.EntanglementReport, np.ndarray]:
-    """CW steady state of one system: ``steady_states`` of a one-drive
+def steady_state(scenario: Scenario) -> tuple[gaussian.EntanglementReport, np.ndarray]:
+    """CW steady state of one scenario: ``steady_states`` of a one-drive
     stack.  Raises its error when there is none, and ``ConfigError`` for a
     modulated drive."""
-    drive = system.drive
+    drive = scenario.drive
     require_cw(drive)
-    states = steady_states(system.params, np.array([drive.cw_amplitudes]),
+    states = steady_states(scenario.params, np.array([drive.cw_amplitudes]),
                            np.array([drive.detunings]))
     if states.failures:
         raise states.failures[0]
@@ -131,37 +123,39 @@ class EvolveResult:
     tau: float                       # s
 
 
-def evolve(system: System, t_max_tau: float,
-           steps_per_period: int | None = None,
-           store_per_period: int = 32) -> EvolveResult:
-    """Integrate the covariance under the (possibly modulated) drive.
+def evolve(scenario: Scenario) -> EvolveResult:
+    """Integrate the covariance under the scenario's (possibly modulated)
+    drive, on the grid its ``numerics`` set.
 
-    Runs for ``t_max_tau`` units of tau = 4 pi / (Omega1 + Omega2), starting
-    from the CW steady state.  The means take RK4 steps dt and the
-    covariance takes Pade-Magnus steps of the same dt
+    Runs for ``numerics.t_max_tau`` units of tau = 4 pi / (Omega1 +
+    Omega2), starting from the CW steady state.  The means take RK4 steps
+    dt and the covariance takes Pade-Magnus steps of the same dt
     (``dynamics.evolve_covariance``), which read the drift at the ends and
     midpoint of each step on the means' half-step grid; the midpoints are
     Hermite values, not RHS stages.  The means are integrated one
     propagator chunk at a time (``meanfield.mean_windows``) and turned into
     that chunk's drift (``dynamics.DriftGrid``), so the working memory is
     one chunk plus the stored samples, whatever the horizon.  The period is
-    the drive's, or tau for an unmodulated drive.  Storage is
-    aligned to it, so the quasi-steady orbit is exactly the last period of
-    stored samples.
+    the drive's, or tau for an unmodulated drive.  It takes
+    ``numerics.steps_per_period`` steps (by default enough for
+    ``timestep``), rounded up to a multiple of the store stride, so about
+    ``numerics.store_per_period`` samples a period are stored and the
+    quasi-steady orbit is exactly the last period of stored samples.
     """
-    p, drv = system.params, system.drive
-    tau = system.tau
+    p, drv, num = scenario.params, scenario.drive, scenario.numerics
+    tau = 4 * math.pi / float(p.omega_mech.sum())
 
     omega_d = drv.mod_frequency
     period = 2 * math.pi / omega_d if omega_d > 0 else tau
+    steps_per_period = num.steps_per_period
     if steps_per_period is None:
-        steps_per_period = max(16, int(math.ceil(period / timestep(system))))
+        steps_per_period = max(16, int(math.ceil(period / timestep(scenario))))
     # Keep the store grid commensurate with the drive period.
-    store_stride = max(1, steps_per_period // store_per_period)
+    store_stride = max(1, steps_per_period // num.store_per_period)
     steps_per_period = store_stride * int(math.ceil(steps_per_period / store_stride))
     dt = period / steps_per_period
 
-    n_periods = max(1, int(math.ceil(t_max_tau * tau / period)))
+    n_periods = max(1, int(math.ceil(num.t_max_tau * tau / period)))
     n_steps = n_periods * steps_per_period
 
     wp0 = meanfield.steady_means(p, drv.unmodulated())
@@ -197,15 +191,15 @@ class EffectiveReport:
     process_tags: list
 
 
-def effective_report(system: System) -> EffectiveReport:
+def effective_report(scenario: Scenario) -> EffectiveReport:
     """J harmonics over the periodic mean-field orbit plus advisor output."""
-    p, drv = system.params, system.drive
+    p, drv = scenario.params, scenario.drive
     wp = meanfield.steady_means(p, drv.unmodulated())
     omega_d = drv.mod_frequency
 
     if omega_d > 0:
         period = 2 * math.pi / omega_d
-        n_steps = int(math.ceil(period / min(timestep(system), period / 256)))
+        n_steps = int(math.ceil(period / min(timestep(scenario), period / 256)))
         orbit = dynamics.periodic_orbit(p, drv, period / n_steps).means
         harm = effective.modulation_harmonics(
             orbit.t, effective.effective_J_series(orbit, p), omega_d)

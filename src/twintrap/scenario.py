@@ -6,8 +6,9 @@ boundary are SI; drive strengths and frequencies may alternatively be given
 relative to the trap amplitude E0 and the mechanical frequencies, which is
 how the regression scenarios shipped in ``twintrap/scenarios`` are written.
 Loading derives the parameters once and resolves the relative units into
-one SI drive; ``Scenario.system`` overrides of the detuning or control
-fraction then change only that drive.
+one SI drive; the ``pipeline`` verbs run the resulting ``Scenario``, and
+``Scenario.system`` overrides of the detuning or control fraction change
+only its drive.
 
 Schema (``schema_version: 1``)::
 
@@ -62,7 +63,6 @@ import yaml
 
 from . import model
 from .model import ConfigError
-from .pipeline import System
 
 SCHEMA_VERSION = 1
 
@@ -108,19 +108,21 @@ class Scenario:
     def system(self,
                detuning: float | None = None,
                control_fraction: float | None = None,
-               recoil_scale: float | None = None) -> System:
-        """Instantiate the dynamical system, optionally overriding one axis.
+               recoil_scale: float | None = None) -> Scenario:
+        """This scenario, optionally with one axis overridden, as the
+        ``pipeline`` verbs run it.
 
         Overrides use the relative units of the drive section: ``detuning``
         in units of Omega_1, ``control_fraction`` as a fraction of E0
         (applied to both control modes).  They change only the drive; a
-        ``recoil_scale`` override re-derives the parameters, which leaves
-        the trap frequencies, and so the SI drive, unchanged.
+        ``recoil_scale`` override replaces the objects and the parameters
+        derived from them, which leaves the trap frequencies, and so the SI
+        drive, unchanged.
         """
-        params, drive = self.params, self.drive
+        objects, params, drive = self.objects, self.params, self.drive
         if recoil_scale is not None:
             objects = tuple(replace(o, recoil_scale=recoil_scale)
-                            for o in self.objects)
+                            for o in objects)
             params = model.derive_params(objects, self.geometry,
                                          self.environment, drive.trap_amplitude)
         if detuning is not None:
@@ -129,7 +131,7 @@ class Scenario:
         if control_fraction is not None:
             (e,), _ = self.drive_stack("control_fraction", [control_fraction])
             drive = replace(drive, cw_amplitudes=tuple(e.tolist()))
-        return System(params=params, drive=drive)
+        return replace(self, objects=objects, params=params, drive=drive)
 
     def drive_stack(self, axis: str, values) -> tuple[np.ndarray, np.ndarray]:
         """The (B, 2) CW amplitudes and effective detunings of the drive
@@ -251,13 +253,11 @@ def _parse_cavity(section: dict) -> model.CavityGeometry:
 
 
 def _parse_environment(section: dict) -> model.Environment:
-    _require_keys(section, {"temperature", "pressure", "air_molecular_mass"},
-                  "environment")
+    _require_keys(section, {"temperature", "pressure"}, "environment")
     if "temperature" not in section:
         raise ConfigError("environment.temperature is required")
     kwargs = {k: _number(section[k], f"environment.{k}")
-              for k in ("temperature", "pressure", "air_molecular_mass")
-              if k in section}
+              for k in ("temperature", "pressure") if k in section}
     return model.Environment(**kwargs)
 
 

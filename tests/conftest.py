@@ -7,6 +7,7 @@ Gaussian-measure tests.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,31 +45,31 @@ def fig1_steady(fig1_scenario):
 @pytest.fixture(scope="session")
 def fig2_sum_run(fig2_sum_scenario):
     """Sum-frequency modulated evolution to its quasi-steady orbit."""
-    system = fig2_sum_scenario.system()
-    return pipeline.evolve(system,
-                           t_max_tau=fig2_sum_scenario.numerics.t_max_tau)
+    return pipeline.evolve(fig2_sum_scenario.system())
 
 
 @pytest.fixture(scope="session")
 def fig2_half_run(fig2_half_scenario):
     """Half-frequency modulated evolution (slower entanglement build-up)."""
-    system = fig2_half_scenario.system()
-    return pipeline.evolve(system,
-                           t_max_tau=fig2_half_scenario.numerics.t_max_tau)
+    return pipeline.evolve(fig2_half_scenario.system())
 
 
 @pytest.fixture(scope="session")
 def fig3_run_suppressed(fig3_scenario):
     """Nanosphere evolution with recoil reduced to 10%."""
-    system = fig3_scenario.system()
-    return pipeline.evolve(system, t_max_tau=fig3_scenario.numerics.t_max_tau)
+    return pipeline.evolve(fig3_scenario.system())
 
 
 @pytest.fixture(scope="session")
 def fig3_run_full_recoil(fig3_scenario):
     """Same nanosphere scenario at the full free-space recoil rate."""
-    system = fig3_scenario.system(recoil_scale=1.0)
-    return pipeline.evolve(system, t_max_tau=fig3_scenario.numerics.t_max_tau)
+    return pipeline.evolve(fig3_scenario.system(recoil_scale=1.0))
+
+
+def with_numerics(scenario, **numerics):
+    """``scenario`` with the given fields of its ``numerics`` replaced, e.g.
+    a shorter horizon ``t_max_tau``."""
+    return replace(scenario, numerics=replace(scenario.numerics, **numerics))
 
 
 def two_mode_squeezed_cov(r: float, n_mean: float = 0.0) -> np.ndarray:

@@ -18,7 +18,7 @@ from twintrap import dynamics, effective, gaussian, meanfield, pipeline, readout
 from twintrap.model import ObjectSpec, derive_mass
 from twintrap.scenario import load_scenario, shipped_scenario
 
-from conftest import tail_window, two_mode_squeezed_cov
+from conftest import tail_window, two_mode_squeezed_cov, with_numerics
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -118,8 +118,8 @@ def test_acceptance_05_modulated_regression(fig1_steady, fig2_sum_run,
 
 @pytest.mark.slow
 def test_acceptance_06_floquet_periodicity(fig2_sum_run, fig2_sum_scenario):
-    system = fig2_sum_scenario.system()
-    runs = {n: pipeline.evolve(system, t_max_tau=5.0, steps_per_period=n)
+    runs = {n: pipeline.evolve(with_numerics(fig2_sum_scenario, t_max_tau=5.0,
+                                             steps_per_period=n))
             for n in (200, 400, 800)}
     e1 = np.linalg.norm(runs[200].cov.v[-1] - runs[800].cov.v[-1])
     e2 = np.linalg.norm(runs[400].cov.v[-1] - runs[800].cov.v[-1])

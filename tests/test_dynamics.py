@@ -20,6 +20,8 @@ from twintrap.dynamics import (BlowupError, UnstableSystemError,
 from twintrap.meanfield import ConvergenceError, MeanTrajectory
 from twintrap.scenario import load_scenario, shipped_scenario
 
+from conftest import with_numerics
+
 RNG = np.random.default_rng(7121394)
 
 
@@ -706,7 +708,8 @@ def test_evolve_memory_does_not_grow_with_the_horizon(fig2_sum_scenario):
     def traced_peak(t_max_tau):
         tracemalloc.start()
         try:
-            run = pipeline.evolve(fig2_sum_scenario.system(), t_max_tau)
+            run = pipeline.evolve(with_numerics(fig2_sum_scenario,
+                                                t_max_tau=t_max_tau))
             return tracemalloc.get_traced_memory()[1], run.cov.v.nbytes
         finally:
             tracemalloc.stop()

@@ -17,7 +17,7 @@ from twintrap.gaussian import (EntanglementReport, eta_min, log_negativity,
                                phonon_occupation, symplectic_form,
                                symplectic_spectrum)
 
-from conftest import two_mode_squeezed_cov
+from conftest import two_mode_squeezed_cov, with_numerics
 
 RNG = np.random.default_rng(20240817)
 
@@ -152,7 +152,7 @@ def test_rejects_non_positive_input():
 # ---------------------------------------------------------------- stacks
 
 def test_stacked_eta_min_matches_per_matrix(fig2_sum_scenario):
-    run = pipeline.evolve(fig2_sum_scenario.system(), t_max_tau=2.0)
+    run = pipeline.evolve(with_numerics(fig2_sum_scenario, t_max_tau=2.0))
     assert len(run.cov) > 100
     one_by_one = np.array([eta_min(v) for v in run.cov.v])
     assert np.array_equal(eta_min(run.cov.v), one_by_one)

@@ -16,6 +16,8 @@ from twintrap.meanfield import (ConvergenceError, MeanTrajectory,
                                 mean_windows, steady_means)
 from twintrap.scenario import parse_scenario, shipped_scenario
 
+from conftest import with_numerics
+
 
 def cavity(means):
     """Complex control-mode means <a_i> of a mean state, (..., 2)."""
@@ -161,9 +163,10 @@ def solve_stack(params, drives):
         np.array([d.detunings for d in drives]))
 
 
-def assert_one_drive_results(params, drives, stacked):
+def assert_one_drive_results(scenario, params, drives, stacked):
     """Each slot of a stacked ``steady_states`` call is what the drive gets
-    alone, bit for bit; returns the messages of the failed slots."""
+    alone on ``scenario`` with ``params``, bit for bit; returns the
+    messages of the failed slots."""
     fields = (stacked.eta_min, stacked.log_neg, stacked.nbar1, stacked.nbar2)
     assert [len(f) for f in fields] == [len(drives)] * 4
     assert stacked.cov.shape == (len(drives), 8, 8)
@@ -172,7 +175,7 @@ def assert_one_drive_results(params, drives, stacked):
         got = [f[k] for f in fields]
         try:
             want_report, want_v = pipeline.steady_state(
-                pipeline.System(params, drive))
+                dataclasses.replace(scenario, params=params, drive=drive))
         except (UnstableSystemError, ConvergenceError) as exc:
             error = stacked.failures[k]
             assert type(error) is type(exc) and str(error) == str(exc)
@@ -200,7 +203,7 @@ def test_stacked_steady_states_match_one_system_stacks(fig1_scenario,
     params = nonconfining(fig1_scenario.params, stronger(base))
     blue = fig1_scenario.system(detuning=-1.0).drive
     drives = [*fig1[:6], stronger(base), blue, *fig1[6:]]
-    messages = assert_one_drive_results(params, drives,
+    messages = assert_one_drive_results(fig1_scenario, params, drives,
                                         solve_stack(params, drives))
     assert len(messages) == 2
     assert "Omega~" in messages[0] and "unstable" in messages[1]
@@ -209,7 +212,7 @@ def test_stacked_steady_states_match_one_system_stacks(fig1_scenario,
     zero = fig1_scenario.system(detuning=0.0).drive
     drives = [*fig1[:6], blue, zero, *fig1[6:]]
     messages = assert_one_drive_results(
-        fig1_scenario.params, drives,
+        fig1_scenario, fig1_scenario.params, drives,
         solve_stack(fig1_scenario.params, drives))
     assert len(messages) == 2
     assert "unstable" in messages[0] and "Lyapunov" in messages[1]
@@ -217,7 +220,7 @@ def test_stacked_steady_states_match_one_system_stacks(fig1_scenario,
     fig3 = [fig3_scenario.system(detuning=d).drive.unmodulated()
             for d in (1.0, 1.5)]
     assert not assert_one_drive_results(
-        fig3_scenario.params, fig3,
+        fig3_scenario, fig3_scenario.params, fig3,
         solve_stack(fig3_scenario.params, fig3))
 
 
@@ -433,8 +436,9 @@ def test_evolve_steps_the_means_once_per_covariance_step(fig2_sum_scenario,
         return counted
 
     monkeypatch.setattr(meanfield, "_scalar_rhs", counting)
-    result = pipeline.evolve(fig2_sum_scenario.system(), t_max_tau=2.0,
-                             steps_per_period=64, store_per_period=64)
+    result = pipeline.evolve(with_numerics(fig2_sum_scenario, t_max_tau=2.0,
+                                           steps_per_period=64,
+                                           store_per_period=64))
     n_steps = len(result.cov) - 1
     assert n_steps == 256
     assert calls == 4 * n_steps + 1
@@ -488,11 +492,10 @@ def test_windows_run_on_floats_from_numpy_scalar_inputs(fig2_sum_scenario,
 def test_evolve_runs_the_means_on_floats(fig2_sum_scenario, float_only_rhs):
     # The scenario comes from its YAML file, whose trap frequencies (and so
     # its modulation frequency) are derived in NumPy.
-    system = fig2_sum_scenario.system()
-    floats = pipeline.evolve(system, t_max_tau=2.0)
+    system = with_numerics(fig2_sum_scenario, t_max_tau=2.0)
+    floats = pipeline.evolve(system)
     scalars = pipeline.evolve(
-        dataclasses.replace(system, drive=numpy_scalar_drive(system.drive)),
-        t_max_tau=2.0)
+        dataclasses.replace(system, drive=numpy_scalar_drive(system.drive)))
     assert np.array_equal(scalars.cov.v, floats.cov.v)
     assert np.array_equal(scalars.eta_min, floats.eta_min)
 

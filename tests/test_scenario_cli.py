@@ -72,10 +72,12 @@ def test_unknown_top_level_key_rejected():
 
 
 def test_unknown_nested_key_rejected():
-    doc = base_doc()
-    doc["cavity"]["colour"] = "red"
-    with pytest.raises(ConfigError, match="unknown keys"):
-        parse_scenario(doc)
+    for section, key, value in (("cavity", "colour", "red"),
+                                ("environment", "air_molecular_mass", 4.8e-26)):
+        doc = base_doc()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match="unknown keys"):
+            parse_scenario(doc)
 
 
 def test_schema_version_enforced():
@@ -120,11 +122,19 @@ def test_relative_mod_frequency_resolves_to_sum(fig2_sum_scenario):
 
 
 def test_recoil_scale_override(fig3_scenario):
-    assert fig3_scenario.objects[0].recoil_scale == 0.1
-    system = fig3_scenario.system(recoil_scale=1.0)
-    base = fig3_scenario.system()
+    sc = fig3_scenario
+    assert sc.objects[0].recoil_scale == 0.1
+    system = sc.system(recoil_scale=1.0)
+    base = sc.system()
     assert math.isclose(system.params.recoil[0], 10 * base.params.recoil[0],
                         rel_tol=1e-12)
+    # The overridden scenario's parameters are those of its own objects.
+    assert [o.recoil_scale for o in system.objects] == [1.0, 1.0]
+    expect = model.derive_params(system.objects, sc.geometry, sc.environment,
+                                 sc.drive.trap_amplitude)
+    for f in dataclasses.fields(expect):
+        assert np.array_equal(getattr(system.params, f.name),
+                              getattr(expect, f.name)), f.name
 
 
 def test_single_object_entry_duplicates(fig1_scenario):
@@ -355,6 +365,27 @@ def test_evolve_csv_unmodulated_is_flat(tmp_path):
     assert np.ptp(eta) < 1e-6
     report, _ = pipeline.steady_state(load_scenario(path).system())
     assert abs(eta[0] - report.eta_min) < 1e-6
+
+
+def test_library_evolve_runs_on_the_scenario_numerics(tmp_path):
+    # The library reads the step and store grids from the scenario's
+    # numerics, as the CLI does: 64 steps and 16 stored samples a period,
+    # so the final period holds 17 samples, and the rows are the CLI's.
+    with open(shipped_scenario("fig2_sum")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["numerics"] = {"t_max_tau": 2.0, "steps_per_period": 64,
+                       "store_per_period": 16}
+    path = write_scenario(tmp_path, doc)
+    result = pipeline.evolve(load_scenario(path).system())
+    assert len(result.orbit.t) == 17
+    code = cli.main(["evolve", "--scenario", str(path), "--format", "csv",
+                     "--out", str(tmp_path)])
+    assert code == (cli.EXIT_OK if result.orbit.converged else cli.EXIT_NOCONV)
+    table = np.column_stack([result.t_over_tau, result.eta_min,
+                             result.log_neg, result.nbar1, result.nbar2])
+    assert (tmp_path / "evolve.csv").read_text().splitlines() == (
+        [",".join(cli.SERIES_COLUMNS)]
+        + [cli.ROW_FORMAT.format(*row) for row in table.tolist()])
 
 
 def _refuse_non_finite(token):
