@@ -610,7 +610,7 @@ def period_map(a_half, dt: float, d: np.ndarray | None = None
     interval of stride N: Phi = P_{N-1} ... P_0, and Q_T the covariance
     ``evolve_covariance`` reaches from V = 0.  It reads the period in one
     slice and takes N steps of scratch, at most one propagator chunk while
-    N <= ``PROPAGATOR_CHUNK``, as for every caller (256 on shipped orbits).
+    N <= ``PROPAGATOR_CHUNK``, as for every caller (204 on shipped orbits).
     """
     _check_half_grid(a_half)
     n_steps = (a_half.shape[0] - 1) // 2
@@ -705,30 +705,31 @@ def _shoot(params: DerivedParams, drive: DriveSpec, y: np.ndarray,
 
 
 def periodic_orbit(params: DerivedParams, drive: DriveSpec,
-                   dt: float) -> PeriodicOrbit:
+                   steps: int) -> PeriodicOrbit:
     """The periodic mean-field orbit of a modulated drive, by Newton shooting.
 
-    Solves y(0) = y(T) for the 8-float mean state on the period map of RK4
-    steps dt (rounded so that whole steps span the period T); the returned
-    samples are ``integrate_means``' half-step grid, the drift grid of a
-    step dt of the fluctuations.  The Newton Jacobian of the period map is
-    Phi of ``period_map`` on the linearized drift, the fluctuation drift;
-    it agrees with the RK4 map's Jacobian to the order of the step.
-    Newton starts from the CW point's linear response to the modulation
-    (``_linear_response``), the orbit's first order in the modulation
-    amplitudes.  Should it fail to converge within ``SHOOT_NEWTON_CAP``
-    iterations, the amplitudes are continued in halved steps: from 0,
-    where the CW point is the orbit, each step starts from that point plus
-    its share of the linear response; from a converged fraction it starts
-    from that fraction's orbit.  Raises ``ConvergenceError`` (with the last
-    residual) when the step falls below ``SHOOT_MIN_STEP``, and
-    ``UnstableSystemError`` when the converged orbit is not attracting
-    (rho(Phi) >= 1).
+    Solves y(0) = y(T) for the 8-float mean state on the period map of
+    ``steps`` RK4 steps dt = T / steps (``ValueError`` for fewer than one);
+    the returned samples are ``integrate_means``' half-step grid, the drift
+    grid of a step dt of the fluctuations.  The Newton Jacobian of the
+    period map is Phi of ``period_map`` on the linearized drift, the
+    fluctuation drift; it agrees with the RK4 map's Jacobian to the order of
+    the step.  Newton starts from the CW point's linear response to the
+    modulation (``_linear_response``), the orbit's first order in the
+    modulation amplitudes.  Should it fail to converge within
+    ``SHOOT_NEWTON_CAP`` iterations, the amplitudes are continued in halved
+    steps: from 0, where the CW point is the orbit, each step starts from
+    that point plus its share of the linear response; from a converged
+    fraction it starts from that fraction's orbit.  Raises
+    ``ConvergenceError`` (with the last residual) when the step falls below
+    ``SHOOT_MIN_STEP``, and ``UnstableSystemError`` when the converged orbit
+    is not attracting (rho(Phi) >= 1).
     """
-    if drive.mod_frequency <= 0:
-        raise ValueError("periodic_orbit requires a modulated drive")
+    if drive.mod_frequency <= 0 or steps < 1:
+        raise ValueError("periodic_orbit requires a modulated drive and at "
+                         "least one step")
     period = 2 * math.pi / drive.mod_frequency
-    dt = period / max(1, round(period / dt))
+    dt = period / steps
     cw = steady_means(params, drive.unmodulated())
     response = _linear_response(params, drive, cw)
     y = cw.y

@@ -32,6 +32,19 @@ def timestep(scenario: Scenario) -> float:
     return 2 * math.pi / (STEPS_PER_CYCLE * fastest)
 
 
+def period_grid(scenario: Scenario) -> tuple[float, int, int]:
+    """(period in s, steps, stride) that ``evolve`` and ``effective_report``
+    step on: the drive's period, or tau unmodulated, in ``steps_per_period``
+    steps (by default enough for ``timestep``) rounded up to a multiple of
+    the store stride, max(1, steps // ``store_per_period``) of ``numerics``."""
+    num, omega_d = scenario.numerics, scenario.drive.mod_frequency
+    period = (2 * math.pi / omega_d if omega_d > 0
+              else 4 * math.pi / float(scenario.params.omega_mech.sum()))
+    steps = num.steps_per_period or math.ceil(period / timestep(scenario))
+    stride = max(1, steps // num.store_per_period)
+    return period, stride * math.ceil(steps / stride), stride
+
+
 def require_cw(drive: DriveSpec) -> None:
     """Raise ``ConfigError`` if the drive is modulated: such a drive has no
     CW steady state, so ``steady`` and ``sweep`` cannot run it."""
@@ -135,24 +148,13 @@ def evolve(scenario: Scenario) -> EvolveResult:
     Hermite values, not RHS stages.  The means are integrated one
     propagator chunk at a time (``meanfield.mean_windows``) and turned into
     that chunk's drift (``dynamics.DriftGrid``), so the working memory is
-    one chunk plus the stored samples, whatever the horizon.  The period is
-    the drive's, or tau for an unmodulated drive.  It takes
-    ``numerics.steps_per_period`` steps (by default enough for
-    ``timestep``), rounded up to a multiple of the store stride, so about
-    ``numerics.store_per_period`` samples a period are stored and the
-    quasi-steady orbit is exactly the last period of stored samples.
+    one chunk plus the stored samples, whatever the horizon.  It steps on
+    ``period_grid``, so about ``numerics.store_per_period`` samples a period
+    are stored and the quasi-steady orbit is the last period of them.
     """
     p, drv, num = scenario.params, scenario.drive, scenario.numerics
     tau = 4 * math.pi / float(p.omega_mech.sum())
-
-    omega_d = drv.mod_frequency
-    period = 2 * math.pi / omega_d if omega_d > 0 else tau
-    steps_per_period = num.steps_per_period
-    if steps_per_period is None:
-        steps_per_period = max(16, int(math.ceil(period / timestep(scenario))))
-    # Keep the store grid commensurate with the drive period.
-    store_stride = max(1, steps_per_period // num.store_per_period)
-    steps_per_period = store_stride * int(math.ceil(steps_per_period / store_stride))
+    period, steps_per_period, store_stride = period_grid(scenario)
     dt = period / steps_per_period
 
     n_periods = max(1, int(math.ceil(num.t_max_tau * tau / period)))
@@ -198,9 +200,7 @@ def effective_report(scenario: Scenario) -> EffectiveReport:
     omega_d = drv.mod_frequency
 
     if omega_d > 0:
-        period = 2 * math.pi / omega_d
-        n_steps = int(math.ceil(period / min(timestep(scenario), period / 256)))
-        orbit = dynamics.periodic_orbit(p, drv, period / n_steps).means
+        orbit = dynamics.periodic_orbit(p, drv, period_grid(scenario)[1]).means
         harm = effective.modulation_harmonics(
             orbit.t, effective.effective_J_series(orbit, p), omega_d)
     else:

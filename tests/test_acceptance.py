@@ -171,7 +171,7 @@ def _mean_orbit(weak, omega_d):
     n_per = int(math.ceil(period
                           / pipeline.timestep(replace(weak, drive=drive))))
     dt = period / n_per
-    return dynamics.periodic_orbit(weak.params, drive, dt).means, dt, n_per
+    return dynamics.periodic_orbit(weak.params, drive, n_per).means, dt, n_per
 
 
 def _full_verdict(weak, orbit, dt, n_per):

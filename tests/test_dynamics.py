@@ -641,9 +641,11 @@ def test_period_map_noise_is_the_covariance_grown_from_zero():
     assert no_noise is None
 
 
-def test_period_map_refuses_a_grid_without_steps():
+def test_period_map_refuses_a_grid_without_steps(fig2_sum_scenario):
     with pytest.raises(ValueError, match="at least one step"):
         period_map(constant_half_grid(-np.eye(8), 0), 0.1)
+    with pytest.raises(ValueError, match="at least one step"):
+        periodic_orbit(fig2_sum_scenario.params, fig2_sum_scenario.drive, 0)
 
 
 def drift_stream(system, n_steps, dt, window_steps):
@@ -766,7 +768,7 @@ def orbit_and_step(system):
     """Periodic orbit at 256 RK4 steps per drive period, and that step."""
     p, drv = system.params, system.drive
     dt = 2 * math.pi / drv.mod_frequency / 256
-    return periodic_orbit(p, drv, dt), dt
+    return periodic_orbit(p, drv, 256), dt
 
 
 def plain_gap(system, orbit, dt, n_periods):

@@ -504,9 +504,8 @@ def test_periodic_orbit_runs_the_means_on_floats(fig2_half_scenario,
                                                  float_only_rhs):
     system = fig2_half_scenario.system()
     p, drv = system.params, system.drive
-    dt = 2 * math.pi / drv.mod_frequency / 256
-    floats = dynamics.periodic_orbit(p, drv, dt)
+    floats = dynamics.periodic_orbit(p, drv, 256)
     scalars = dynamics.periodic_orbit(p, numpy_scalar_drive(drv),
-                                      np.float64(dt))
+                                      np.int64(256))
     assert np.array_equal(scalars.means.y, floats.means.y)
     assert (scalars.rho, scalars.residual) == (floats.rho, floats.residual)

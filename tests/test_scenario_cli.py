@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 import yaml
 
-from twintrap import cli, meanfield, model, pipeline
+from twintrap import cli, dynamics, meanfield, model, pipeline
 from twintrap.model import ConfigError
 from twintrap.scenario import (SCHEMA_VERSION, Scenario, load_scenario,
                                parse_scenario, shipped_scenario)
+
+from conftest import with_numerics
 
 SHIPPED = ("fig1_cw", "fig2_sum", "fig2_half", "fig3_nanosphere")
 
@@ -386,6 +388,57 @@ def test_library_evolve_runs_on_the_scenario_numerics(tmp_path):
     assert (tmp_path / "evolve.csv").read_text().splitlines() == (
         [",".join(cli.SERIES_COLUMNS)]
         + [cli.ROW_FORMAT.format(*row) for row in table.tolist()])
+
+
+def test_effective_steps_on_the_scenario_grid(tmp_path, monkeypatch):
+    # effective takes the scenario's steps per period, as evolve does.
+    with open(shipped_scenario("fig2_sum")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["numerics"]["steps_per_period"] = 64
+    path = write_scenario(tmp_path, doc)
+    passed = []
+    orbit = dynamics.periodic_orbit
+
+    def spy(params, drive, steps):
+        passed.append(steps)
+        return orbit(params, drive, steps)
+
+    monkeypatch.setattr(dynamics, "periodic_orbit", spy)
+    pipeline.effective_report(load_scenario(path).system())
+    assert passed == [64]
+
+
+def test_period_grid_of_the_shipped_scenarios(fig2_sum_scenario):
+    # 204 steps and 34 stored samples a period on every shipped drive, and
+    # on fig1_cw's tau; evolve stores the final period on that grid.
+    for name in SHIPPED:
+        scenario = load_scenario(shipped_scenario(name))
+        omega_d = scenario.drive.mod_frequency
+        period = (2 * math.pi / omega_d if omega_d > 0 else
+                  4 * math.pi / float(scenario.params.omega_mech.sum()))
+        assert pipeline.period_grid(scenario) == (period, 204, 6), name
+    scenario = with_numerics(fig2_sum_scenario, t_max_tau=2.0)
+    period, steps, stride = pipeline.period_grid(scenario)
+    orbit = pipeline.evolve(scenario).orbit
+    assert len(orbit.t) == steps // stride + 1
+    assert math.isclose(orbit.t[-1] - orbit.t[0], period)
+
+
+@pytest.mark.parametrize("sum_units", [None, 0.05, 0.1, 0.25, 0.45, 0.5,
+                                       1.0, 2.0, 5.0, 20.0])
+def test_default_grid_resolves_every_drive_period(fig2_sum_scenario,
+                                                  sum_units):
+    # timestep counts omega_D, and for tau max Omega >= (Omega1 + Omega2)/2,
+    # so the default grid never falls below STEPS_PER_CYCLE steps a period.
+    drive = fig2_sum_scenario.drive
+    if sum_units is None:
+        drive = drive.unmodulated()
+    else:
+        drive = dataclasses.replace(drive, mod_frequency=sum_units * float(
+            fig2_sum_scenario.params.omega_mech.sum()))
+    _, steps, _ = pipeline.period_grid(
+        dataclasses.replace(fig2_sum_scenario, drive=drive))
+    assert steps >= pipeline.STEPS_PER_CYCLE
 
 
 def _refuse_non_finite(token):
