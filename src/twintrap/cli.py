@@ -150,7 +150,6 @@ def cmd_evolve(scenario: Scenario, args) -> int:
     result = pipeline.evolve(scenario.system())
     table = np.column_stack([result.t_over_tau, result.eta_min,
                              result.log_neg, result.nbar1, result.nbar2])
-    final = slice(-len(result.orbit.t), None)
     # A run shorter than two periods cannot measure the change between
     # them; JSON has no infinity, so that change is written as null.
     change = float(result.orbit.period_change)
@@ -158,8 +157,10 @@ def cmd_evolve(scenario: Scenario, args) -> int:
         "tau_seconds": result.tau,
         "quasi_steady_converged": bool(result.orbit.converged),
         "period_change": change if math.isfinite(change) else None,
-        "eta_min_final_period": float(result.eta_min[final].min()),
-        "log_neg_final_period": float(result.log_neg[final].max()),
+        "eta_min_final_period": result.eta_min_final_period,
+        "log_neg_final_period": result.log_neg_final_period,
+        "steps_per_period": result.steps_per_period,
+        "step_error_estimate": result.step_error_estimate,
     }
     if args.format == "csv":
         _write_csv(args, "evolve.csv", SERIES_COLUMNS, _csv_rows(table))

@@ -7,9 +7,11 @@ Pade exponential of the fourth-order Magnus exponent.  ``_interval_maps``
 composes them over intervals of a stride, in stacks of ``PROPAGATOR_CHUNK``
 steps that reuse one set of scratch.  ``evolve_covariance`` applies one
 interval per stored sample, and ``period_map`` is the interval of a drive
-period, V -> Phi V Phi^T + Q_T.  A ``DriftGrid`` feeds them the
-drift of a stream of mean-field windows (``meanfield.mean_windows``), one
-chunk at a time, so a long run holds neither its means nor its drift whole.
+period, V -> Phi V Phi^T + Q_T,
+whose fixed point ``periodic_covariance`` solves.  A ``DriftGrid`` feeds the
+propagator the drift of a stream of mean-field windows
+(``meanfield.mean_windows``), one chunk at a time, so a long run holds
+neither its means nor its drift whole.
 
 State ordering throughout: u = (x1, p1, x2, p2, X1, Y1, X2, Y2), mechanical
 quadratures first, then the two control-mode quadratures.
@@ -308,6 +310,41 @@ def lyapunov_steady(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     if failures:
         raise failures[0]
     return v[0]
+
+
+def periodic_covariance(phi: np.ndarray, q_t: np.ndarray) -> np.ndarray:
+    """Periodic steady covariance V_0 = Phi V_0 Phi^T + Q_T of a drive
+    period's map (``period_map``), solved by ``steady_covariance``.
+
+    The Cayley pair A_c = (Phi + I)^-1 (Phi - I), Q_c = 2 (Phi + I)^-1 Q_T
+    (Phi + I)^-T turns the discrete equation into A_c V_0 + V_0 A_c^T + Q_c
+    = 0, and A_c is Hurwitz exactly when rho(Phi) < 1 (Bittanti & Colaneri,
+    Periodic Systems, 2009).  So a map with rho(Phi) >= 1 raises that
+    function's ``UnstableSystemError``, as does a Floquet multiplier -1,
+    where Phi + I is singular.  V_0 is checked on the discrete equation:
+    ||Phi V_0 Phi^T + Q_T - V_0||_F / ||V_0||_F above ``LYAPUNOV_RTOL``
+    raises ``ConvergenceError`` carrying that residual.
+    """
+    phi = np.asarray(phi, dtype=float)
+    eye = np.eye(phi.shape[-1])
+    try:
+        inv = np.linalg.inv(phi + eye)
+    except np.linalg.LinAlgError:
+        raise UnstableSystemError(
+            "no periodic steady state: the period map has a Floquet "
+            "multiplier -1") from None
+    v, _, failures = steady_covariance((inv @ (phi - eye))[None],
+                                       2 * inv @ q_t @ inv.T)
+    if failures:
+        raise failures[0]
+    v = v[0]
+    residual = float(np.linalg.norm(phi @ v @ phi.T + q_t - v)
+                     / np.linalg.norm(v))
+    if not residual <= LYAPUNOV_RTOL:
+        raise ConvergenceError(
+            f"periodic Lyapunov residual {residual:.3e} above bound "
+            f"{LYAPUNOV_RTOL:.0e}", residual)
+    return v
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics, effective, gaussian, meanfield
+from .meanfield import ConvergenceError, MeanTrajectory, UnstableSystemError
 from .model import ConfigError, DerivedParams, DriveSpec
 from .scenario import Scenario
 
 #: Steps per cycle of the fastest rate in the drift (fixed-step rule).
 STEPS_PER_CYCLE = 200
+
+#: Relative bound on the step error of the periodic covariance V_0 that
+#: ``evolve_grid`` picks the steps of a period for.
+STEP_RTOL = 1e-6
+
+#: Distance of a run's final mean state from the probe orbit's start,
+#: relative in the max norm of the shooting residual, beyond which the run
+#: did not reach the orbit its step-error estimate was made on.  It tells a
+#: run still in its transient from one on the orbit; it bounds no
+#: covariance error, and the estimate it lets through is that of V_0 only.
+ORBIT_REACH_RTOL = 1e-2
 
 
 def timestep(scenario: Scenario) -> float:
@@ -33,8 +46,9 @@ def timestep(scenario: Scenario) -> float:
 
 
 def period_grid(scenario: Scenario) -> tuple[float, int, int]:
-    """(period in s, steps, stride) that ``evolve`` and ``effective_report``
-    step on: the drive's period, or tau unmodulated, in ``steps_per_period``
+    """(period in s, steps, stride) that ``effective_report`` steps on, and
+    the most steps ``evolve_grid`` gives ``evolve``: the drive's period, or
+    tau unmodulated, in ``steps_per_period``
     steps (by default enough for ``timestep``) rounded up to a multiple of
     the store stride, max(1, steps // ``store_per_period``) of ``numerics``."""
     num, omega_d = scenario.numerics, scenario.drive.mod_frequency
@@ -43,6 +57,63 @@ def period_grid(scenario: Scenario) -> tuple[float, int, int]:
     steps = num.steps_per_period or math.ceil(period / timestep(scenario))
     stride = max(1, steps // num.store_per_period)
     return period, stride * math.ceil(steps / stride), stride
+
+
+class EvolveGrid(NamedTuple):
+    """The grid ``evolve`` steps on, from ``evolve_grid``."""
+
+    period: float                   # s
+    steps: int                      # per period
+    stride: int                     # steps per stored sample
+    step_error: float | None        # estimated relative step error of V_0
+    orbit_start: np.ndarray | None  # the probe orbit's mean state at t = 0
+
+
+def _periodic_start(scenario: Scenario, steps: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(V_0, y(0)) of the periodic orbit of the scenario's modulated drive
+    on ``steps`` steps a period: the periodic covariance and mean state at
+    the start of a drive period."""
+    p, drv = scenario.params, scenario.drive
+    orbit = dynamics.periodic_orbit(p, drv, steps)
+    phi, q_t = dynamics.period_map(
+        dynamics.drift_samples(orbit.means, p),
+        2 * math.pi / drv.mod_frequency / steps, dynamics.build_diffusion(p))
+    return dynamics.periodic_covariance(phi, q_t), orbit.means.y[0]
+
+
+def evolve_grid(scenario: Scenario) -> EvolveGrid:
+    """The fewest steps a period, a multiple of ``store_per_period``, whose
+    estimated step error of the periodic covariance V_0 is within
+    ``STEP_RTOL``; ``period_grid``'s steps at most.
+
+    The estimate is Richardson's (Hairer, Norsett & Wanner, Solving ODEs I,
+    sec. II.4) for a fourth-order step: with the probe N_0 = 2
+    ``store_per_period``, e = (16/15) ||V_0(N_0) - V_0(2 N_0)||_F /
+    ||V_0(2 N_0)||_F, and N steps carry e (N_0 / N)^4, which is
+    ``step_error``.  The stride is N / ``store_per_period``, so a period
+    stores exactly ``store_per_period`` samples.  ``period_grid``'s grid is
+    taken, with no estimate, for an explicit ``steps_per_period``, an
+    unmodulated drive, a probe not below ``period_grid``'s steps, or a
+    probe orbit that stalls or is unstable; and, with the estimate scaled
+    to its steps, when no smaller multiple meets the bound.
+    """
+    period, steps, stride = period_grid(scenario)
+    store = scenario.numerics.store_per_period
+    probe = 2 * store
+    if (scenario.numerics.steps_per_period or not scenario.drive.modulated
+            or probe >= steps):
+        return EvolveGrid(period, steps, stride, None, None)
+    try:
+        coarse, _ = _periodic_start(scenario, probe)
+        fine, start = _periodic_start(scenario, 2 * probe)
+    except (ConvergenceError, UnstableSystemError):
+        return EvolveGrid(period, steps, stride, None, None)
+    error = 16 / 15 * float(np.linalg.norm(coarse - fine) / np.linalg.norm(fine))
+    n = next((n for n in range(probe, steps, store)
+              if error * (probe / n) ** 4 <= STEP_RTOL), steps)
+    return EvolveGrid(period, n, n // store if n < steps else stride,
+                      error * (probe / n) ** 4, start)
 
 
 def require_cw(drive: DriveSpec) -> None:
@@ -134,11 +205,42 @@ class EvolveResult:
     cov: dynamics.CovTrajectory      # times in tau units
     orbit: dynamics.QuasiSteadyOrbit  # times in s
     tau: float                       # s
+    steps_per_period: int
+    # Of the periodic state V_0 only (``evolve_grid``), if the run reached
+    # its orbit; the stored series can carry more step error.
+    step_error_estimate: float | None
+    eta_min_final_period: float      # least over every step, refined
+    log_neg_final_period: float      # largest, max(0, -ln 2 eta_min)
+
+
+def _refined_minimum(f: np.ndarray) -> float:
+    """The least of samples ``f`` over one period of a uniform grid, whose
+    first and last samples are the same phase, refined to the vertex of the
+    parabola through the least sample and its two neighbours; the
+    neighbours of either end are ``f[-2]`` and ``f[1]``."""
+    n, k = len(f) - 1, int(np.argmin(f))
+    before, least, after = f[(k - 1) % n], f[k], f[k % n + 1]
+    curvature = before + after - 2 * least
+    if curvature > 0:
+        return float(least - (after - before) ** 2 / (8 * curvature))
+    return float(least)
+
+
+def _keeping(windows, first: int, kept: list[MeanTrajectory]):
+    """Pass the mean-field ``windows`` through, appending to ``kept`` the
+    part of each from sample ``first`` of the half-step grid on."""
+    start = 0
+    for means in windows:
+        end = start + len(means) - 1
+        if end > first:
+            kept.append(means[max(first - start, 0):])
+        start = end
+        yield means
 
 
 def evolve(scenario: Scenario) -> EvolveResult:
     """Integrate the covariance under the scenario's (possibly modulated)
-    drive, on the grid its ``numerics`` set.
+    drive, on the grid of ``evolve_grid``.
 
     Runs for ``numerics.t_max_tau`` units of tau = 4 pi / (Omega1 +
     Omega2), starting from the CW steady state.  The means take RK4 steps
@@ -148,34 +250,53 @@ def evolve(scenario: Scenario) -> EvolveResult:
     Hermite values, not RHS stages.  The means are integrated one
     propagator chunk at a time (``meanfield.mean_windows``) and turned into
     that chunk's drift (``dynamics.DriftGrid``), so the working memory is
-    one chunk plus the stored samples, whatever the horizon.  It steps on
-    ``period_grid``, so about ``numerics.store_per_period`` samples a period
-    are stored and the quasi-steady orbit is the last period of them.
+    one chunk plus the stored samples, whatever the horizon.  The
+    quasi-steady orbit is the last period of the stored samples.
+
+    The final period is stepped once more from its first stored covariance,
+    keeping every step (``dynamics.evolve_covariance`` at stride 1): its
+    least eta_min is refined between steps (``_refined_minimum``), and its
+    largest E_N is that of the refined eta_min.  The step-error estimate is
+    that of the periodic state V_0, not of the stored series; it is dropped
+    when the final mean state is more than ``ORBIT_REACH_RTOL`` from the
+    probe orbit's start, which the run then did not reach.
     """
     p, drv, num = scenario.params, scenario.drive, scenario.numerics
     tau = 4 * math.pi / float(p.omega_mech.sum())
-    period, steps_per_period, store_stride = period_grid(scenario)
-    dt = period / steps_per_period
+    period, steps, stride, step_error, orbit_start = evolve_grid(scenario)
+    dt = period / steps
 
     n_periods = max(1, int(math.ceil(num.t_max_tau * tau / period)))
-    n_steps = n_periods * steps_per_period
+    n_steps = n_periods * steps
 
     wp0 = meanfield.steady_means(p, drv.unmodulated())
     d = dynamics.build_diffusion(p)
     v0 = dynamics.lyapunov_steady(dynamics.drift_samples(wp0, p), d)
-    windows = meanfield.mean_windows(
+    tail: list[MeanTrajectory] = []
+    windows = _keeping(meanfield.mean_windows(
         p, drv, (0.0, n_steps * dt), dt, initial=wp0,
-        window_steps=dynamics.chunk_steps(store_stride))
+        window_steps=dynamics.chunk_steps(stride)), 2 * (n_steps - steps), tail)
     traj = dynamics.evolve_covariance(
         v0, dynamics.DriftGrid(windows, 2 * n_steps + 1, p), d, dt,
-        store_stride=store_stride)
-    orbit = dynamics.quasi_steady_orbit(traj, steps_per_period // store_stride)
+        store_stride=stride)
+    orbit = dynamics.quasi_steady_orbit(traj, steps // stride)
+
+    drifts = [dynamics.drift_samples(means, p) for means in tail]
+    cycle = np.concatenate([drifts[0]] + [a[1:] for a in drifts[1:]])
+    eta_final = _refined_minimum(gaussian.eta_min(dynamics.evolve_covariance(
+        traj.v[-(steps // stride + 1)], cycle, d, dt).v))
+    if orbit_start is not None and (
+            np.max(np.abs(tail[-1].y[-1] - orbit_start))
+            > ORBIT_REACH_RTOL * max(np.max(np.abs(orbit_start)), 1.0)):
+        step_error = None
 
     eta, en, nb1, nb2 = gaussian.measures(traj.v)
     return EvolveResult(
         t_over_tau=traj.t / tau, eta_min=eta, log_neg=en, nbar1=nb1, nbar2=nb2,
         cov=dynamics.CovTrajectory(t=traj.t / tau, v=traj.v),
-        orbit=orbit, tau=tau,
+        orbit=orbit, tau=tau, steps_per_period=steps,
+        step_error_estimate=step_error, eta_min_final_period=eta_final,
+        log_neg_final_period=max(0.0, -math.log(2 * eta_final)),
     )
 
 

@@ -41,7 +41,10 @@ Schema (``schema_version: 1``)::
       # or: detunings_rad_s
     numerics:                # all optional, all positive
       t_max_tau: float       # evolution horizon, units of tau = 4 pi/(W1+W2)
-      steps_per_period: int  # of evolve and effective (pipeline.period_grid)
+      steps_per_period: int  # of effective and evolve; by default effective
+                             # takes pipeline.period_grid's and evolve the
+                             # fewest its measured step error allows
+                             # (pipeline.evolve_grid)
       store_per_period: int
     sweep:                   # optional, used by the sweep command
       axis: detuning | control_fraction

@@ -12,7 +12,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_lyapunov
 
 from twintrap import dynamics, effective, gaussian, meanfield, pipeline, readout
 from twintrap.model import ObjectSpec, derive_mass
@@ -182,7 +181,7 @@ def _full_verdict(weak, orbit, dt, n_per):
     phi, q = dynamics.period_map(a_half, dt, d)
     if np.max(np.abs(np.linalg.eigvals(phi))) >= 1 - 1e-9:
         return "unstable"
-    v0 = solve_discrete_lyapunov(phi, q)
+    v0 = dynamics.periodic_covariance(phi, q)
     traj = dynamics.evolve_covariance(0.5 * (v0 + v0.T), a_half, d, dt,
                                       store_stride=max(1, n_per // 32))
     eta = min(gaussian.eta_min(gaussian.mechanical_block(v)) for v in traj.v)

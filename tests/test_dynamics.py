@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
 
 from twintrap import cli, dynamics, meanfield, pipeline
 from twintrap.dynamics import (BlowupError, UnstableSystemError,
@@ -648,6 +648,58 @@ def test_period_map_refuses_a_grid_without_steps(fig2_sum_scenario):
         periodic_orbit(fig2_sum_scenario.params, fig2_sum_scenario.drive, 0)
 
 
+# ------------------------------------------------- periodic covariance
+
+def shipped_period(name, steps=64):
+    """(drift half-step grid, dt, diffusion) of the periodic orbit of a
+    shipped modulated scenario on ``steps`` steps a period."""
+    system = load_scenario(shipped_scenario(name))
+    p, drv = system.params, system.drive
+    dt = 2 * math.pi / drv.mod_frequency / steps
+    orbit = periodic_orbit(p, drv, steps)
+    return drift_samples(orbit.means, p), dt, build_diffusion(p)
+
+
+@pytest.mark.parametrize("name", ["fig2_sum", "fig2_half", "fig3_nanosphere"])
+def test_periodic_covariance_matches_scipy_and_repeats(name):
+    # SciPy's discrete Lyapunov solver is the oracle; one period of the
+    # propagator from V_0 returns to V_0.
+    a_half, dt, d = shipped_period(name)
+    phi, q_t = period_map(a_half, dt, d)
+    v0 = dynamics.periodic_covariance(phi, q_t)
+    oracle = solve_discrete_lyapunov(phi, q_t)
+    assert np.linalg.norm(v0 - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    v_t = evolve_covariance(v0, a_half, d, dt).v[-1]
+    assert np.linalg.norm(v_t - v0) <= 1e-12 * np.linalg.norm(v0)
+
+
+@pytest.mark.parametrize("phi", [1.01 * np.eye(8), -np.eye(8)],
+                         ids=["rho above 1", "multiplier -1"])
+def test_periodic_covariance_refuses_a_map_that_does_not_contract(phi):
+    with pytest.raises(UnstableSystemError):
+        dynamics.periodic_covariance(phi, np.eye(8))
+
+
+def test_periodic_covariance_checks_the_discrete_residual(monkeypatch):
+    # A solve whose continuous residual passes but whose V_0 misses the
+    # discrete equation raises with the discrete residual.
+    phi, q_t = period_map(*shipped_period("fig3_nanosphere"))
+    solve, returned = dynamics.steady_covariance, []
+
+    def off(a, d):
+        v, residual, failures = solve(a, d)
+        returned.append(v[0] * (1 + 1e-8))
+        return v * (1 + 1e-8), residual, failures
+
+    monkeypatch.setattr(dynamics, "steady_covariance", off)
+    with pytest.raises(ConvergenceError, match="periodic Lyapunov") as caught:
+        dynamics.periodic_covariance(phi, q_t)
+    [v] = returned
+    residual = np.linalg.norm(phi @ v @ phi.T + q_t - v) / np.linalg.norm(v)
+    assert caught.value.residual == pytest.approx(residual)
+    assert caught.value.residual > dynamics.LYAPUNOV_RTOL
+
+
 def drift_stream(system, n_steps, dt, window_steps):
     """A ``DriftGrid`` over ``mean_windows`` from the CW point, as
     ``pipeline.evolve`` builds it."""
@@ -706,12 +758,13 @@ def test_streamed_drift_refuses_an_out_of_order_read(fig2_sum_scenario):
 def test_evolve_memory_does_not_grow_with_the_horizon(fig2_sum_scenario):
     # Only the stored covariances may grow with the run: the means and the
     # drift are held one chunk at a time.  A run that holds its whole
-    # half-step grid grows the peak about 4.9x as fast as the stored samples.
+    # half-step grid grows the peak about 4.9x as fast as the stored samples
+    # on 204 steps and 34 stored samples a period, the grid pinned here.
     def traced_peak(t_max_tau):
         tracemalloc.start()
         try:
-            run = pipeline.evolve(with_numerics(fig2_sum_scenario,
-                                                t_max_tau=t_max_tau))
+            run = pipeline.evolve(with_numerics(
+                fig2_sum_scenario, t_max_tau=t_max_tau, steps_per_period=204))
             return tracemalloc.get_traced_memory()[1], run.cov.v.nbytes
         finally:
             tracemalloc.stop()
@@ -741,6 +794,57 @@ def test_fourth_order_convergence_sinusoidal_drift():
     coarse, mid, fine = run(200), run(400), run(800)
     ratio = np.linalg.norm(coarse - fine) / np.linalg.norm(mid - fine)
     assert 10.0 < ratio < 25.0
+
+
+def test_refined_minimum_is_the_parabola_vertex():
+    x = np.arange(11.0)           # one period of 10 steps
+    assert pipeline._refined_minimum(2 * (x - 3.3) ** 2 + 0.7) == \
+        pytest.approx(0.7, abs=1e-13)
+    # A dip at phase 0 wraps: the neighbours of either end are f[9], f[1].
+    for x0 in (0.3, -0.3):
+        phase = (x - x0 + 5) % 10 - 5
+        assert pipeline._refined_minimum(2 * phase ** 2 + 0.7) == \
+            pytest.approx(0.7, abs=1e-13)
+    assert pipeline._refined_minimum(np.full(5, 0.25)) == 0.25
+
+
+def test_cycle_pass_repeats_the_stored_final_period(fig2_half_scenario,
+                                                    monkeypatch):
+    # 20 tau of fig2_half: 40 periods of 192 steps, so the final period
+    # (steps 7488-7680) straddles the window boundary at step 7650.
+    passes = []
+    evolve_covariance = dynamics.evolve_covariance
+
+    def spy(*args, **kwargs):
+        passes.append(evolve_covariance(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(dynamics, "evolve_covariance", spy)
+    run = pipeline.evolve(with_numerics(fig2_half_scenario, t_max_tau=20.0))
+    cycle = passes[-1].v      # after the run's own pass
+    assert len(passes) == 2
+    n_per = len(run.orbit.t) - 1
+    assert len(cycle) == run.steps_per_period + 1 == 192 + 1
+    stored = run.cov.v[-(n_per + 1):]
+    gap = np.linalg.norm(cycle[::192 // n_per] - stored, axis=(1, 2))
+    assert np.all(gap <= 1e-13 * np.linalg.norm(stored, axis=(1, 2)))
+
+
+def test_cycle_extrema_read_the_dip_between_stored_samples(fig3_scenario):
+    # On fig3_nanosphere the eta_min dip of a period is narrower than the
+    # store stride: the least stored sample sits 3.8e-4 above it.  Every
+    # step, refined, reads it to 2e-7 at 64 steps a period against 256.
+    def run(**numerics):
+        return pipeline.evolve(with_numerics(fig3_scenario, t_max_tau=2.0,
+                                             **numerics))
+
+    coarse, fine = run(), run(steps_per_period=256)
+    assert coarse.steps_per_period == 64
+    stored = coarse.eta_min[-len(coarse.orbit.t):].min()
+    eta = coarse.eta_min_final_period
+    assert abs(eta - fine.eta_min_final_period) < 1e-6
+    assert stored - eta > 1e-4
+    assert coarse.log_neg_final_period == -math.log(2 * eta)
 
 
 def test_quasi_steady_orbit_flags_convergence():

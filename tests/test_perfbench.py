@@ -77,5 +77,7 @@ def test_traced_evolve_counts_samples_and_steps(traced_evolve):
     rows = (out / "evolve.csv").read_text().splitlines()[1:]
     [[orbit, samples]] = values(record, "pipeline.evolve")
     assert samples == len(rows) and 1 < orbit < samples
-    [steps] = values(record, "dynamics.evolve_covariance")
+    # The run's pass, then the final period's again at every step.
+    [steps, cycle] = values(record, "dynamics.evolve_covariance")
     assert steps > 0 and steps % (samples - 1) == 0
+    assert cycle * (samples - 1) == steps * (orbit - 1)

@@ -410,7 +410,7 @@ def test_effective_steps_on_the_scenario_grid(tmp_path, monkeypatch):
 
 def test_period_grid_of_the_shipped_scenarios(fig2_sum_scenario):
     # 204 steps and 34 stored samples a period on every shipped drive, and
-    # on fig1_cw's tau; evolve stores the final period on that grid.
+    # on fig1_cw's tau; evolve stores the final period on evolve_grid's grid.
     for name in SHIPPED:
         scenario = load_scenario(shipped_scenario(name))
         omega_d = scenario.drive.mod_frequency
@@ -418,10 +418,99 @@ def test_period_grid_of_the_shipped_scenarios(fig2_sum_scenario):
                   4 * math.pi / float(scenario.params.omega_mech.sum()))
         assert pipeline.period_grid(scenario) == (period, 204, 6), name
     scenario = with_numerics(fig2_sum_scenario, t_max_tau=2.0)
-    period, steps, stride = pipeline.period_grid(scenario)
+    period, steps, stride, _, _ = pipeline.evolve_grid(scenario)
     orbit = pipeline.evolve(scenario).orbit
     assert len(orbit.t) == steps // stride + 1
     assert math.isclose(orbit.t[-1] - orbit.t[0], period)
+
+
+@pytest.mark.parametrize("name, steps", [("fig2_sum", 64), ("fig2_half", 192),
+                                         ("fig3_nanosphere", 64)])
+def test_evolve_grid_of_the_shipped_scenarios(name, steps):
+    # The fewest steps, a multiple of the 32 stored samples a period, whose
+    # estimated step error of V_0 is within STEP_RTOL.
+    scenario = load_scenario(shipped_scenario(name))
+    grid = pipeline.evolve_grid(scenario)
+    assert (grid.period, grid.steps, grid.stride) == (
+        pipeline.period_grid(scenario)[0], steps, steps // 32)
+    assert grid.step_error <= pipeline.STEP_RTOL
+    if steps > 64:
+        assert grid.step_error * (steps / (steps - 32)) ** 4 > pipeline.STEP_RTOL
+
+
+def test_evolve_grid_takes_the_period_grid_with_no_estimate(fig1_scenario,
+                                                            fig2_sum_scenario):
+    for scenario in (fig1_scenario,
+                     with_numerics(fig2_sum_scenario, steps_per_period=96),
+                     with_numerics(fig2_sum_scenario, store_per_period=102)):
+        assert pipeline.evolve_grid(scenario) == (
+            *pipeline.period_grid(scenario), None, None)
+
+
+def evolve_summary(tmp_path, name, **numerics):
+    """(exit code, JSON summary) of ``evolve --format csv`` on a shipped
+    scenario with the given numerics."""
+    doc = yaml.safe_load(shipped_scenario(name).read_text())
+    doc["numerics"].update(numerics)
+    path = write_scenario(tmp_path, doc)
+    code = cli.main(["evolve", "--scenario", str(path), "--format", "csv",
+                     "--out", str(tmp_path)])
+    return code, json.loads((tmp_path / "evolve_summary.json").read_text())
+
+
+def test_explicit_steps_per_period_writes_no_estimate(tmp_path):
+    code, summary = evolve_summary(tmp_path, "fig2_sum", t_max_tau=2.0,
+                                   steps_per_period=96)
+    assert code == cli.EXIT_NOCONV
+    assert summary["steps_per_period"] == 96
+    assert summary["step_error_estimate"] is None
+
+
+@pytest.mark.parametrize("error", [meanfield.ConvergenceError("stalled", 1.0),
+                                   meanfield.UnstableSystemError("unstable")],
+                         ids=["stalls", "unstable"])
+def test_failed_probe_falls_back_to_the_period_grid(tmp_path, monkeypatch,
+                                                    error):
+    # Ten tau of fig3_nanosphere (rho ~ 0.61) converge: exit 0 on either
+    # grid, with the probe's failure shown only as a null estimate.
+    code, summary = evolve_summary(tmp_path, "fig3_nanosphere", t_max_tau=10.0)
+    assert (code, summary["steps_per_period"]) == (cli.EXIT_OK, 64)
+    assert summary["step_error_estimate"] > 0
+
+    def failing(params, drive, steps):
+        raise error
+
+    monkeypatch.setattr(dynamics, "periodic_orbit", failing)
+    scenario = load_scenario(shipped_scenario("fig3_nanosphere"))
+    assert pipeline.evolve_grid(scenario) == (
+        *pipeline.period_grid(scenario), None, None)
+    code, summary = evolve_summary(tmp_path, "fig3_nanosphere", t_max_tau=10.0)
+    assert (code, summary["steps_per_period"]) == (cli.EXIT_OK, 204)
+    assert summary["step_error_estimate"] is None
+
+
+@pytest.mark.slow
+def test_evolve_short_of_the_orbit_writes_no_estimate(fig2_sum_scenario,
+                                                      fig2_sum_run):
+    # After 20 tau the means are still more than 1e-2 from the periodic
+    # orbit (rho ~ 0.985), so the estimate made on it is not reported; the
+    # 200 tau run reaches it.
+    grid = pipeline.evolve_grid(fig2_sum_scenario)
+    short = pipeline.evolve(with_numerics(fig2_sum_scenario, t_max_tau=20.0))
+    assert short.steps_per_period == fig2_sum_run.steps_per_period == grid.steps
+    assert short.step_error_estimate is None
+    assert fig2_sum_run.step_error_estimate == grid.step_error
+
+
+@pytest.mark.parametrize("name", ["fig2_sum", "fig2_half"])
+def test_step_error_estimate_is_within_twice_the_true_error(name):
+    # The true error is against the periodic covariance on 2048 steps.
+    scenario = load_scenario(shipped_scenario(name))
+    grid = pipeline.evolve_grid(scenario)
+    v0, _ = pipeline._periodic_start(scenario, grid.steps)
+    reference, _ = pipeline._periodic_start(scenario, 2048)
+    true = np.linalg.norm(v0 - reference) / np.linalg.norm(reference)
+    assert true / 2 <= grid.step_error <= 2 * true
 
 
 @pytest.mark.parametrize("sum_units", [None, 0.05, 0.1, 0.25, 0.45, 0.5,
