@@ -7,7 +7,6 @@ drops below 1/2.  Logarithmic negativity uses the natural logarithm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +31,12 @@ def mechanical_block(v: np.ndarray) -> np.ndarray:
 
 def partial_transpose(v: np.ndarray) -> np.ndarray:
     """Momentum sign flip of the second mode of a two-mode covariance matrix."""
-    v = np.asarray(v, dtype=float)
+    v = np.array(v, dtype=float)
     if v.shape[-2:] != (4, 4):
         raise ValueError("partial transpose acts on a two-mode (4x4) covariance")
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    return flip @ v @ flip
+    v[..., 3, :] *= -1.0
+    v[..., :, 3] *= -1.0
+    return v
 
 
 def _require(ok: np.ndarray, message: str) -> None:
@@ -47,11 +47,15 @@ def _require(ok: np.ndarray, message: str) -> None:
 
 
 def symplectic_spectrum(v: np.ndarray) -> np.ndarray:
-    """Moduli of the eigenvalues of i Sigma V, deduplicated to n values.
+    """Symplectic eigenvalues nu of V, the moduli of the eigenvalues of
+    i Sigma V, n of them in ascending order.
 
-    Requires a symmetric positive-definite covariance; the raw spectrum
-    comes in +/- pairs which are matched after sorting.  A stack (..., 2n, 2n)
-    gives spectra (..., n) and every matrix in it must pass every check.
+    Requires a symmetric positive-definite covariance.  With L the Cholesky
+    factor of V, K = L^T Sigma L is antisymmetric and similar to Sigma V, so
+    the eigenvalues of K^T K are the nu^2, each twice: one ``eigvalsh``
+    reads them, and the pairs are matched after sorting.  Rounding moves a
+    nu by about eps nu_max^2 / nu.  A stack (..., 2n, 2n) gives spectra
+    (..., n) and every matrix in it must pass every check.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim < 2 or v.shape[-1] != v.shape[-2] or v.shape[-1] % 2:
@@ -60,13 +64,24 @@ def symplectic_spectrum(v: np.ndarray) -> np.ndarray:
     scale = np.maximum(abs(v).max(axis=(-2, -1)), 1.0)
     _require(abs(v - v_t).max(axis=(-2, -1)) <= 1e-10 * scale,
              "covariance must be symmetric")
-    _require(np.linalg.eigvalsh(0.5 * (v + v_t)).min(axis=-1) > 0,
-             "covariance must be positive definite")
-    raw = abs(np.linalg.eigvals(symplectic_form(v.shape[-1] // 2) @ v))
-    raw.sort(axis=-1)
-    pairs = raw.reshape(raw.shape[:-1] + (raw.shape[-1] // 2, 2))
+    try:
+        m = np.linalg.cholesky(0.5 * (v + v_t))
+    except np.linalg.LinAlgError:
+        # Name the first failure; at the margin only the Cholesky may fail.
+        message = "covariance must be positive definite"
+        _require(np.linalg.eigvalsh(0.5 * (v + v_t)).min(axis=-1) > 0,
+                 message)
+        raise ValueError(message) from None
+    # K = X - X^T with X = L_x^T L_p, L_x and L_p the rows of L of the
+    # positions and of the momenta.  One name for L, X, K and K^T K frees
+    # each once the next is built, so a stack holds three at a time.
+    m = m[..., 0::2, :].swapaxes(-1, -2) @ m[..., 1::2, :]
+    m = m - m.swapaxes(-1, -2)
+    m = m.swapaxes(-1, -2) @ m
+    nu = np.sqrt(np.linalg.eigvalsh(m))
+    pairs = nu.reshape(nu.shape[:-1] + (nu.shape[-1] // 2, 2))
     _require(abs(pairs[..., 0] - pairs[..., 1]).max(axis=-1)
-             <= PAIRING_TOL * np.maximum(raw[..., -1], 1.0),
+             <= PAIRING_TOL * np.maximum(nu[..., -1], 1.0),
              "symplectic spectrum failed to pair")
     return pairs.mean(axis=-1)
 
@@ -78,9 +93,16 @@ def eta_min(v: np.ndarray) -> float | np.ndarray:
     return float(eta) if eta.ndim == 0 else eta
 
 
-def log_negativity(v: np.ndarray) -> float:
-    """E_N = max{0, -ln(2 eta_min)}."""
-    return max(0.0, -math.log(2.0 * eta_min(v)))
+def log_negativity(v: np.ndarray) -> float | np.ndarray:
+    """E_N = max{0, -ln(2 eta_min)}; one value per matrix for a stack."""
+    return log_negativity_of(eta_min(v))
+
+
+def log_negativity_of(eta: float | np.ndarray) -> float | np.ndarray:
+    """E_N = max{0, -ln(2 eta)} of a least symplectic eigenvalue eta of the
+    partial transpose (``eta_min``); one value per entry of an array."""
+    en = np.maximum(0.0, -np.log(2.0 * np.asarray(eta)))
+    return float(en) if en.ndim == 0 else en
 
 
 def phonon_occupation(v: np.ndarray, mode: int) -> float | np.ndarray:
@@ -120,5 +142,5 @@ def measures(v: np.ndarray) -> tuple:
     """(eta_min, E_N, nbar1, nbar2) of an 8x8 (or mechanical 4x4) covariance
     matrix; one array each, one entry per matrix, for a stack (B, n, n)."""
     eta = eta_min(v)
-    return (eta, np.maximum(0.0, -np.log(2.0 * eta)),
+    return (eta, log_negativity_of(eta),
             phonon_occupation(v, 1), phonon_occupation(v, 2))

@@ -296,7 +296,7 @@ def evolve(scenario: Scenario) -> EvolveResult:
         cov=dynamics.CovTrajectory(t=traj.t / tau, v=traj.v),
         orbit=orbit, tau=tau, steps_per_period=steps,
         step_error_estimate=step_error, eta_min_final_period=eta_final,
-        log_neg_final_period=max(0.0, -math.log(2 * eta_final)),
+        log_neg_final_period=gaussian.log_negativity_of(eta_final),
     )
 
 

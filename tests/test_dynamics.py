@@ -265,15 +265,15 @@ def test_certified_drifts_take_no_eigenvalues(bench_grid, fig1_scenario,
     assert stability_check(-np.eye(4)).margin == 1.0 and rows == [1]
     # A sweep takes the eigenvalues of its uncertified drifts only: of the
     # four points, detuning -1 is unstable and 0 misses the residual bound.
-    # The second call is the symplectic spectra of the two solved points
-    # (``gaussian.measures``).
+    # The symplectic spectra of the solved points (``gaussian.measures``)
+    # take none.
     del rows[:]
     drives = [fig1_scenario.system(detuning=x).drive
               for x in (0.5, -1.0, 1.0, 0.0)]
     states = pipeline.steady_states(
         fig1_scenario.params, np.array([d.cw_amplitudes for d in drives]),
         np.array([d.detunings for d in drives]))
-    assert sorted(states.failures) == [1, 3] and rows == [1, 2]
+    assert sorted(states.failures) == [1, 3] and rows == [1]
 
 
 # ------------------------------------------------------- Lyapunov solves
@@ -550,6 +550,50 @@ def sinusoidal_half_grid(rng, n_steps, dt, omega=3.0):
     return base[None] + mod[None] * np.sin(omega * ts)[:, None, None]
 
 
+def sequential_covariances(v0, a_half, d, dt, stride):
+    """The stored covariances of one interval map after another: the
+    reference for ``evolve_covariance``'s blocked scan."""
+    v, out = v0, [v0]
+    for p, q in dynamics._interval_maps(a_half, dt, stride, d):
+        for pk, qk in zip(p, q):
+            x = pk @ v @ pk.T
+            v = 0.5 * (x + x.T) + qk
+            out.append(v)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7])
+def test_scan_matches_the_sequential_recurrence(stride, monkeypatch):
+    # Chunks of 40, 13 and 5 intervals take blocks of 7, 4 and 3, so every
+    # chunk, and the shorter last one, ends in a padded block.
+    monkeypatch.setattr(dynamics, "PROPAGATOR_CHUNK", 40)
+    rng = np.random.default_rng(21)
+    dt = 0.01
+    a_half = sinusoidal_half_grid(rng, 300, dt)
+    d = random_psd(rng)
+    v0 = lyapunov_steady(a_half[0], d)
+    got = evolve_covariance(v0, a_half, d, dt, store_stride=stride).v
+    want = sequential_covariances(v0, a_half, d, dt, stride)
+    assert got.shape == want.shape == (300 // stride + 1, 8, 8)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(got, got.swapaxes(1, 2))
+
+
+def test_blowup_on_nan_drift_mid_block_fires_at_end_of_its_interval(
+        monkeypatch):
+    # Stride 3, chunks of 13 intervals in blocks of 4: the midpoint of step
+    # 18 (0-based) lies in interval 6, the third of block 1, which ends at
+    # step 21, t = 0.21.
+    monkeypatch.setattr(dynamics, "PROPAGATOR_CHUNK", 40)
+    rng = np.random.default_rng(16)
+    a_half = constant_half_grid(random_stable_drift(rng), 50)
+    a_half[37, 2, 3] = np.nan
+    with pytest.raises(BlowupError) as err:
+        evolve_covariance(np.eye(8), a_half, np.eye(8), dt=0.01,
+                          store_stride=3)
+    assert math.isclose(err.value.t, 0.21)
+
+
 def test_blowup_on_nan_drift_fires_at_end_of_stored_interval():
     # The check runs at stored samples: step 21 (1-based, ending at 0.21)
     # lies in the stored interval of steps 21-24, which ends at 0.24.
@@ -629,13 +673,18 @@ def test_period_map_noise_is_the_covariance_grown_from_zero():
     a_half = sinusoidal_half_grid(rng, 300, dt)
     d = random_psd(rng)
     phi, q = period_map(a_half, dt, d)
+    # One stored interval of the whole grid applies its map to V = 0 exactly.
+    zero = np.zeros((8, 8))
     assert np.array_equal(
-        q, evolve_covariance(np.zeros((8, 8)), a_half, d, dt).v[-1])
+        q, evolve_covariance(zero, a_half, d, dt, store_stride=300).v[-1])
+    # Step by step, the covariance composes in another order.
+    every = evolve_covariance(zero, a_half, d, dt).v[-1]
+    assert np.max(np.abs(every - q)) <= 1e-13 * np.max(np.abs(q))
     # Both take the symmetric part of a diffusion given lopsided.
     lopsided = d + np.triu(d)
     assert np.array_equal(
         period_map(a_half, dt, lopsided)[1],
-        evolve_covariance(np.zeros((8, 8)), a_half, lopsided, dt).v[-1])
+        evolve_covariance(zero, a_half, lopsided, dt, store_stride=300).v[-1])
     phi_only, no_noise = period_map(a_half, dt)
     assert np.array_equal(phi, phi_only)
     assert no_noise is None

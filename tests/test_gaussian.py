@@ -22,10 +22,11 @@ from conftest import two_mode_squeezed_cov, with_numerics
 RNG = np.random.default_rng(20240817)
 
 
-def random_symplectic(n_modes: int, rng=RNG) -> np.ndarray:
+def random_symplectic(n_modes: int, rng=RNG, scale: float = 1.0
+                      ) -> np.ndarray:
     """S = exp(Sigma H) with H symmetric is symplectic for Sigma J-form."""
     dim = 2 * n_modes
-    h = rng.normal(size=(dim, dim))
+    h = scale * rng.normal(size=(dim, dim))
     h = 0.5 * (h + h.T)
     return expm(symplectic_form(n_modes) @ h)
 
@@ -92,6 +93,35 @@ def test_report_round_trip():
     doc = rep.as_dict()
     assert doc["stable"] is True
     assert abs(doc["eta_min"] - math.exp(-1.0) / 2) < 1e-9
+
+
+def williamson_state(nu1: float, nu2: float, rng) -> np.ndarray:
+    """S diag(nu1, nu1, nu2, nu2) S^T: symplectic spectrum (nu1, nu2)."""
+    s = random_symplectic(2, rng=rng, scale=0.5)
+    return s @ np.diag([nu1, nu1, nu2, nu2]) @ s.T
+
+
+WILLIAMSON_SPECTRA = [(0.5, 0.7), (0.6, 0.6 * (1 + 1e-9)), (0.5, 2.0),
+                      (1.0, 3.0)]
+
+
+@pytest.mark.parametrize("nu", WILLIAMSON_SPECTRA)
+def test_spectrum_of_williamson_states(nu):
+    # 0.6 (1 + 1e-9) is the near-degenerate case, where the closed-form
+    # two-mode invariants lose half the digits.
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        got = symplectic_spectrum(williamson_state(*nu, rng))
+        assert np.max(np.abs(got - nu) / nu) <= 1e-14
+
+
+def test_stacked_spectrum_of_williamson_states():
+    rng = np.random.default_rng(32)
+    nu = np.array(WILLIAMSON_SPECTRA * 5)
+    stack = np.stack([williamson_state(*pair, rng) for pair in nu])
+    got = symplectic_spectrum(stack.reshape(4, 5, 4, 4))
+    assert got.shape == (4, 5, 2)
+    assert np.max(np.abs(got.reshape(-1, 2) - nu) / nu) <= 1e-14
 
 
 # ------------------------------------------------------------- properties
@@ -181,17 +211,32 @@ def test_stack_rejects_one_non_positive_matrix():
 
 
 def test_stack_rejects_one_unpaired_spectrum(monkeypatch):
-    # In exact arithmetic the spectrum of Sigma V always pairs, so the
+    # In exact arithmetic the eigenvalues of K^T K always pair, so the
     # failure is injected: one eigenvalue of the first matrix is shifted.
-    real_eigvals = np.linalg.eigvals
+    real_eigvalsh = np.linalg.eigvalsh
 
     def shifted(m):
-        out = real_eigvals(m)
+        out = real_eigvalsh(m)
         out[0, 0] *= 1.001
         return out
 
     stack = physical_stack()
     eta_min(stack)
-    monkeypatch.setattr(gaussian.np.linalg, "eigvals", shifted)
+    monkeypatch.setattr(gaussian.np.linalg, "eigvalsh", shifted)
     with pytest.raises(ValueError, match="pair.*matrix 0"):
         eta_min(stack)
+
+
+def test_stacked_log_negativity_matches_per_matrix():
+    stack = physical_stack()
+    got = log_negativity(stack)
+    assert got.shape == (3,)
+    assert np.array_equal(got, [log_negativity(v) for v in stack])
+    assert isinstance(log_negativity(stack[0]), float)
+    # Zero for a separable state, in a stack too.
+    mixed = np.stack([0.5 * np.eye(4), stack[2]])
+    assert np.array_equal(log_negativity(mixed), [0.0, got[2]])
+    # eta = 0.7 e^{-2r} (``test_thermal_two_mode_squeezed``); r = 0.1 is
+    # separable.
+    want = np.maximum(0.0, 2 * np.array([0.1, 0.4, 0.7]) - np.log(1.4))
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
