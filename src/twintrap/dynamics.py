@@ -3,16 +3,15 @@ and the periodic mean-field orbit of a modulated drive with its period map.
 
 The fluctuations have one propagator: each step dt of a time-varying drift
 is the affine map V -> P V P^T + Q of ``_step_maps``, with P the diagonal
-Pade exponential of the fourth-order Magnus exponent.  ``_interval_maps``
-composes them over intervals of a stride, in stacks of ``PROPAGATOR_CHUNK``
-steps that reuse one set of scratch.  ``evolve_covariance`` takes one
-interval per stored sample, applying a chunk's intervals by a blocked scan
-(``_scan_intervals``) in stacked passes, and ``period_map`` is the interval
-of a drive period, V -> Phi V Phi^T + Q_T, whose fixed point
-``periodic_covariance`` solves.  A ``DriftGrid`` feeds the
-propagator the drift of a stream of mean-field windows
-(``meanfield.mean_windows``), one chunk at a time, so a long run holds
-neither its means nor its drift whole.
+Pade exponential of the fourth-order Magnus exponent; ``_compose`` composes
+them.  ``evolve_covariance`` composes each stored interval's steps, in
+chunks of about ``PROPAGATOR_CHUNK`` steps that reuse one set of scratch,
+and applies a chunk's intervals by a blocked scan (``_scan_intervals``) in
+stacked passes; ``period_map`` composes a drive period's steps into
+V -> Phi V Phi^T + Q_T, whose fixed point ``periodic_covariance`` solves.
+A ``DriftGrid`` feeds the propagator the drift of a stream of mean-field
+windows (``meanfield.mean_windows``), one chunk at a time, so a long run
+holds neither its means nor its drift whole.
 
 State ordering throughout: u = (x1, p1, x2, p2, X1, Y1, X2, Y2), mechanical
 quadratures first, then the two control-mode quadratures.
@@ -246,9 +245,11 @@ def steady_covariance(a: np.ndarray, d: np.ndarray
     failed slot, and the residual in a slot that is not solved.
 
     This is the one place that builds the errors of a drift and of its
-    solve: an ``UnstableSystemError`` naming the verdict and margin of a
-    drift ``stability_check`` does not rule stable, which is not solved,
-    and a ``ConvergenceError`` carrying a residual above ``LYAPUNOV_RTOL``.
+    solve, and solves only the stable drifts: a ``ConvergenceError`` for a
+    drift with a non-finite entry or Frobenius norm, which is not judged,
+    an ``UnstableSystemError`` naming the verdict and margin of a drift
+    ``stability_check`` does not rule stable, and a ``ConvergenceError``
+    carrying a residual above ``LYAPUNOV_RTOL``.
 
     Solves A V + V A^T + D = 0 for its m = n (n + 1) / 2 independent
     unknowns V_ij, i <= j (the vech form of Magnus & Neudecker, 1980): one
@@ -262,11 +263,14 @@ def steady_covariance(a: np.ndarray, d: np.ndarray
     n = a.shape[-1]
     d = np.broadcast_to(np.asarray(d, dtype=float), a.shape).reshape(-1, n, n)
     a = a.reshape(-1, n, n)
-    report = stability_check(a)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a, axis=(1, 2))
+    finite = np.flatnonzero(np.isfinite(norm))
+    report = stability_check(a if len(finite) == len(a) else a[finite])
     iu, ju, pos, row, a_ik, v_kj, a_jk, v_ik = _vech_tables(n)
     m = len(iu)
     v = np.full(a.shape, np.nan)
-    held = np.flatnonzero(report.stable)
+    held = finite[report.stable]
     for start in range(0, len(held), LYAPUNOV_CHUNK):
         chunk = held[start:start + LYAPUNOV_CHUNK]
         flat, dc = a[chunk].reshape(-1, n * n), d[chunk]
@@ -279,15 +283,17 @@ def steady_covariance(a: np.ndarray, d: np.ndarray
     av = a @ v
     residual = (np.linalg.norm(av + av.swapaxes(1, 2) + d, axis=(1, 2))
                 / np.linalg.norm(d, axis=(1, 2)))
-    failures: dict[int, Exception] = {}
+    failures: dict[int, Exception] = {k: ConvergenceError(
+        f"drift is not finite (Frobenius norm {norm[k]:.3e})", math.nan)
+        for k in np.flatnonzero(~np.isfinite(norm)).tolist()}
     unstable = ~report.stable
-    for k, verdict, margin in zip(np.flatnonzero(unstable).tolist(),
+    for k, verdict, margin in zip(finite[unstable].tolist(),
                                   report.verdict[unstable],
                                   report.margins(unstable)):
         failures[k] = UnstableSystemError(
             f"no steady state: drift is {verdict} (margin {margin:.3e})")
-    missed = report.stable & ~(residual <= LYAPUNOV_RTOL)
-    for k in np.flatnonzero(missed).tolist():
+    missed = held[~(residual[held] <= LYAPUNOV_RTOL)]
+    for k in missed.tolist():
         failures[k] = ConvergenceError(
             f"Lyapunov residual {residual[k]:.3e} above bound "
             f"{LYAPUNOV_RTOL:.0e}", float(residual[k]))
@@ -353,7 +359,7 @@ class CovTrajectory:
     """Covariance samples V(t_k) on a uniform stored grid."""
 
     t: np.ndarray            # (n,)
-    v: np.ndarray            # (n, 8, 8); (n, 4, 4) for the reduced model
+    v: np.ndarray            # (n, 8, 8)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -539,50 +545,28 @@ def _step_maps(a: np.ndarray, dt: float, d: np.ndarray | None = None,
     return p, (q if d is not None else None)
 
 
-def _interval_maps(a_half, dt: float, stride: int, d: np.ndarray | None = None):
-    """Yield the maps (P, Q) of consecutive intervals of ``stride`` steps,
-    stacked per chunk of ``chunk_steps(stride)`` steps; Q is None when
-    ``d`` is None, and is built from the symmetric part of ``d``.
-
-    ``a_half`` is sliced one chunk at a time, in order, so a ``DriftGrid``
-    assembles only that chunk's drift.  Steps past the last whole interval
-    are not taken.  Within an interval the step maps compose in order as
-    (P, Q) o (P', Q') = (P P', sym(P Q' P^T) + Q).  One set of scratch
-    serves every chunk; the yielded maps are copies of it.
-    """
-    n = a_half.shape[-1]
-    d = None if d is None else 0.5 * (d + np.transpose(d))
-    n_intervals = (a_half.shape[0] - 1) // 2 // stride
-    per_chunk = chunk_steps(stride) // stride
-    size = min(per_chunk, n_intervals)
-    # One array per slot: freeing them as one block raised the allocator's
-    # trim threshold, and a 160 tau fig2_sum evolve kept 3 MiB more RSS
-    # through its output.
-    work = [np.empty((size * stride, n, n)) for _ in range(_STEP_SLOTS)]
-    composed = np.empty((4, size, n, n))
-    for i in range(0, n_intervals, per_chunk):
-        j = min(i + per_chunk, n_intervals)
-        a = np.asarray(a_half[2 * i * stride:2 * j * stride + 1], dtype=float)
-        p, q = _step_maps(a, dt, d, first=i * stride, work=work)
-        if stride > 1:
-            p = p.reshape(j - i, stride, n, n)
-            p_acc, q_acc, x, y = composed[:, :j - i]
-            if q is not None:
-                q = q.reshape(j - i, stride, n, n)
-                acc = q[:, 0]
-                for s in range(1, stride):
-                    np.matmul(p[:, s], acc, out=x)
-                    np.matmul(x, p[:, s].swapaxes(1, 2), out=y)
-                    acc = np.add(y, y.swapaxes(1, 2), out=q_acc)
-                    acc *= 0.5
-                    acc += q[:, s]
-                q = acc
-            acc = p[:, 0]
-            for s in range(1, stride):
-                # Alternate two buffers: matmul may not write over its input.
-                acc = np.matmul(p[:, s], acc, out=(p_acc, x)[s % 2])
-            p = acc
-        yield p.copy(), (None if q is None else q.copy())
+def _compose(p: np.ndarray, q: np.ndarray | None, group: int,
+             y: np.ndarray, z: np.ndarray) -> None:
+    """Turn a stack (G * ``group``, n, n) of affine maps V -> P V P^T + Q
+    into prefix compositions within each of its G groups of ``group``, in
+    place and stacked across the groups: map s of a group becomes maps 0 to
+    s by (P, Q) o (P', Q') = (P P', sym(P Q' P^T) + Q).  ``q`` is None for
+    P alone; ``y`` and ``z`` are scratch of at least G matrices."""
+    n = p.shape[-1]
+    g = p.shape[0] // group
+    p = p.reshape(g, group, n, n)
+    q = None if q is None else q.reshape(g, group, n, n)
+    y, z = y[:g], z[:g]
+    for s in range(1, group):
+        p_s = p[:, s]
+        if q is not None:
+            np.matmul(p_s, q[:, s - 1], out=y)
+            np.matmul(y, p_s.swapaxes(1, 2), out=z)
+            np.add(z, z.swapaxes(1, 2), out=y)
+            y *= 0.5
+            q[:, s] += y
+        # matmul may not write over its input.
+        p_s[...] = np.matmul(p_s, p[:, s - 1], out=y)
 
 
 def _check_half_grid(a_half) -> None:
@@ -596,10 +580,10 @@ def _scan_intervals(v: np.ndarray, p: np.ndarray, q: np.ndarray, block: int,
     chunk, from V_0 = ``v``, to ``out`` (K, n, n) by a two-level scan.
 
     Within blocks of ``block`` intervals, the last padded with identity
-    maps, the prefix maps (Phi, Q~) compose in ``block - 1`` steps stacked
-    across the blocks; V then steps from block end to block end alone, and
-    each stored V is sym(Phi V_start Phi^T) + Q~ from its block's start, in
-    one stacked pass.  ``work`` is scratch: three arrays of at least
+    maps, ``_compose`` turns the maps into prefix maps (Phi, Q~); V then
+    steps from block end to block end alone, and each stored V is
+    sym(Phi V_start Phi^T) + Q~ from its block's start, in one stacked
+    pass.  ``work`` is scratch: three arrays of at least
     ceil(K / block) * block matrices, then three of at least ceil(K / block).
     """
     k, n = p.shape[:2]
@@ -610,15 +594,8 @@ def _scan_intervals(v: np.ndarray, p: np.ndarray, q: np.ndarray, block: int,
     phi[k:] = np.eye(n)
     acc[:k] = q
     acc[k:] = 0.0
+    _compose(phi, acc, block, y, z)
     phi_b, acc_b = (w.reshape(nb, block, n, n) for w in (phi, acc))
-    for s in range(1, block):
-        p_s = phi_b[:, s]
-        np.matmul(p_s, acc_b[:, s - 1], out=y)
-        np.matmul(y, p_s.swapaxes(1, 2), out=z)
-        np.add(z, z.swapaxes(1, 2), out=y)
-        y *= 0.5
-        acc_b[:, s] += y
-        p_s[...] = np.matmul(p_s, phi_b[:, s - 1], out=y)
     starts[0] = v
     for j in range(1, nb):
         end = phi_b[j - 1, -1]
@@ -640,15 +617,17 @@ def evolve_covariance(v0: np.ndarray, a_half, d: np.ndarray,
     spacing dt/2 for N steps.  It may be an array (``np.broadcast_to``
     serves a constant drift) or a ``DriftGrid``, which integrates the means
     and assembles their drift one chunk at a time.  Each step is the
-    Pade-Magnus affine map of ``_step_maps``; the maps of a stored interval
-    are composed in stacks, and V <- sym(P V P^T) + Q applies them through
-    a blocked scan over each chunk's intervals (``_scan_intervals``, blocks
-    of ceil(sqrt K) for the K intervals of a whole chunk): in stacked
-    passes, with only the block ends stepped one by one.  The scan composes
-    the maps in another order than one interval after another, which moves
-    a stored V by rounding only (at most 5.5e-14 of max|V| on a 160 tau
-    ``fig2_sum`` run), and every stored V is exactly symmetric.  For a
-    constant drift the steady covariance is a fixed point to rounding.
+    Pade-Magnus affine map of ``_step_maps``, from the symmetric part of
+    ``d``.  In chunks of ``chunk_steps``, read from ``a_half`` in order and
+    sharing one set of scratch, ``_compose`` turns the step maps into those
+    of the K stored intervals, and V <- sym(P V P^T) + Q applies them by a
+    blocked scan (``_scan_intervals``, blocks of ceil(sqrt K) for a whole
+    chunk): in stacked passes, with only the block ends stepped one by one.
+    The scan composes the maps in another order than one interval after
+    another, which moves a stored V by rounding only (at most 5.5e-14 of
+    max|V| on a 160 tau ``fig2_sum`` run), and every stored V is exactly
+    symmetric.  For a constant drift the steady covariance is a fixed point
+    to rounding.
     A non-finite covariance, or one whose norm exceeds 1e6 x the initial
     norm, raises ``BlowupError`` at the end of the stored interval in which
     it first shows: the check runs at stored samples only, so its time is
@@ -657,31 +636,43 @@ def evolve_covariance(v0: np.ndarray, a_half, d: np.ndarray,
     naming its step.
     """
     _check_half_grid(a_half)
-    n_stored = (a_half.shape[0] - 1) // 2 // store_stride + 1
+    n_intervals = (a_half.shape[0] - 1) // 2 // store_stride
     v = np.asarray(v0, dtype=float)
     v = 0.5 * (v + v.T)
+    d = 0.5 * (d + np.transpose(d))
     bound = (1e6 * max(float(np.linalg.norm(v)), 1.0)) ** 2
 
-    out_t = np.arange(n_stored) * store_stride * dt
-    out_v = np.empty((n_stored,) + v.shape)
+    out_t = np.arange(n_intervals + 1) * store_stride * dt
+    out_v = np.empty((n_intervals + 1,) + v.shape)
     out_v[0] = v
-    size = min(chunk_steps(store_stride) // store_stride, n_stored - 1)
+    per_chunk = chunk_steps(store_stride) // store_stride
+    size = min(per_chunk, n_intervals)
     block = math.isqrt(max(size, 1) - 1) + 1
     n_blocks = -(-size // block)
+    # One array per slot: freeing them as one block raised the allocator's
+    # trim threshold, and a 160 tau fig2_sum evolve kept 3 MiB more RSS
+    # through its output.
     work = tuple(np.empty((rows,) + v.shape) for rows in
                  3 * (n_blocks * block,) + 3 * (n_blocks,))
-    k = 1
+    steps = [np.empty((size * store_stride,) + v.shape)
+             for _ in range(_STEP_SLOTS)]
+    ends = slice(store_stride - 1, None, store_stride)
     # A diverging map may overflow; it shows as a non-finite covariance.
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, q in _interval_maps(a_half, dt, store_stride, d):
-            first, k = k, k + len(p)
-            _scan_intervals(v, p, q, block, work, out_v[first:k])
-            v = out_v[k - 1]
+        for i in range(0, n_intervals, per_chunk):
+            j = min(i + per_chunk, n_intervals)
+            a = np.asarray(a_half[2 * i * store_stride:2 * j * store_stride + 1],
+                           dtype=float)
+            p, q = _step_maps(a, dt, d, first=i * store_stride, work=steps)
+            # ``_step_maps`` leaves its first two slots free.
+            _compose(p, q, store_stride, *steps[:2])
+            _scan_intervals(v, p[ends], q[ends], block, work, out_v[i + 1:j + 1])
+            v = out_v[j]
             # Squared Frobenius norms; ``not (s <= bound)`` also catches NaN.
-            chunk = out_v[first:k].reshape(k - first, -1)
+            chunk = out_v[i + 1:j + 1].reshape(j - i, -1)
             over = ~(np.einsum("ij,ij->i", chunk, chunk) <= bound)
             if over.any():
-                raise BlowupError(float(out_t[first + over.argmax()]))
+                raise BlowupError(float(out_t[i + 1 + over.argmax()]))
     return CovTrajectory(t=out_t, v=out_v)
 
 
@@ -689,11 +680,12 @@ def period_map(a_half, dt: float, d: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray | None]:
     """The drive period's affine map V -> Phi V Phi^T + Q_T of the
     fluctuations, with Phi the state-transition matrix of du/dt = A(t) u
-    over the period; Q_T is None when the diffusion ``d`` is None.
+    over the period; Q_T, from the symmetric part of the diffusion ``d``,
+    is None when ``d`` is None.
 
     ``a_half`` is laid out as for ``evolve_covariance`` (2N + 1 samples at
-    spacing dt/2 for N >= 1 steps).  The map is the one ``_interval_maps``
-    interval of stride N: Phi = P_{N-1} ... P_0, and Q_T the covariance
+    spacing dt/2 for N >= 1 steps).  ``_compose`` composes its N
+    ``_step_maps``: Phi = P_{N-1} ... P_0, and Q_T the covariance
     ``evolve_covariance`` reaches from V = 0 at stride N.  It reads the period in one
     slice and takes N steps of scratch, at most one propagator chunk while
     N <= ``PROPAGATOR_CHUNK``, as for every caller (204 on shipped orbits).
@@ -702,8 +694,12 @@ def period_map(a_half, dt: float, d: np.ndarray | None = None
     n_steps = (a_half.shape[0] - 1) // 2
     if n_steps < 1:
         raise ValueError("a period map needs at least one step")
-    (phi,), q = next(_interval_maps(a_half, dt, n_steps, d))
-    return phi, (None if q is None else q[0])
+    d = None if d is None else 0.5 * (d + np.transpose(d))
+    a = np.asarray(a_half[0:2 * n_steps + 1], dtype=float)
+    work = [np.empty((n_steps,) + a.shape[1:]) for _ in range(_STEP_SLOTS)]
+    p, q = _step_maps(a, dt, d, work=work)
+    _compose(p, q, n_steps, *work[:2])
+    return p[-1], (None if q is None else q[-1])
 
 
 @dataclass(frozen=True)

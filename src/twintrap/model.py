@@ -162,6 +162,11 @@ class DriveSpec:
     detunings: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (
+                self.trap_amplitude, *self.cw_amplitudes,
+                *self.mod_amplitudes, self.mod_frequency, *self.detunings))):
+            raise ConfigError("drive amplitudes, modulation frequency and "
+                              "detunings must be finite")
         if self.trap_amplitude <= 0:
             raise ConfigError("trap mode must be driven (zero trap power gives no trap)")
         for e0, e1 in zip(self.cw_amplitudes, self.mod_amplitudes):

@@ -158,6 +158,9 @@ class Scenario:
 
 
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:
+    """Refuse a section that is not a mapping or has keys not ``allowed``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -196,8 +199,6 @@ def _one_of(section: dict, keys: tuple[str, ...], where: str) -> str:
 
 def _parse_object(entry: dict, index: int) -> model.ObjectSpec:
     where = f"objects[{index}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be a mapping")
     _require_keys(entry, {"kind", "diameter", "thickness", "radius",
                           "relative_permittivity", "density", "mass",
                           "mechanical_quality", "recoil_scale"}, where)
@@ -296,8 +297,6 @@ def _parse_sweep(section: dict) -> SweepSpec:
 
 def parse_scenario(doc: dict) -> Scenario:
     """Validate a parsed YAML document and build a Scenario."""
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario must be a mapping")
     _require_keys(doc, {"schema_version", "objects", "cavity", "environment",
                         "drive", "numerics", "sweep"}, "scenario")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -316,8 +315,6 @@ def parse_scenario(doc: dict) -> Scenario:
     environment = _parse_environment(doc["environment"])
 
     drive = doc["drive"]
-    if not isinstance(drive, dict):
-        raise ConfigError("drive must be a mapping")
     _require_keys(drive, {"trap_input_power_w", "trap_amplitude_rad_s",
                           "control_fractions", "control_amplitudes_rad_s",
                           "modulation_fractions",
@@ -397,10 +394,10 @@ def parse_scenario(doc: dict) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read and validate a scenario file."""
-    text = Path(path).read_text()
     try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(Path(path).read_text(encoding="utf-8"),
+                        Loader=YAML_LOADER)
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"malformed scenario file: {exc}") from exc
     return parse_scenario(doc)
 

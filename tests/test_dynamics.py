@@ -551,13 +551,17 @@ def sinusoidal_half_grid(rng, n_steps, dt, omega=3.0):
 
 
 def sequential_covariances(v0, a_half, d, dt, stride):
-    """The stored covariances of one interval map after another: the
-    reference for ``evolve_covariance``'s blocked scan."""
+    """V <- sym(P V P^T) + Q through every ``_step_maps`` map, one step
+    after another, from the symmetric part of ``d``; V is kept every
+    ``stride`` steps, up to the last whole interval.  The reference for
+    ``evolve_covariance``'s composition and blocked scan."""
+    n_steps = (len(a_half) - 1) // 2 // stride * stride
+    p, q = dynamics._step_maps(a_half[:2 * n_steps + 1], dt, 0.5 * (d + d.T))
     v, out = v0, [v0]
-    for p, q in dynamics._interval_maps(a_half, dt, stride, d):
-        for pk, qk in zip(p, q):
-            x = pk @ v @ pk.T
-            v = 0.5 * (x + x.T) + qk
+    for k, (pk, qk) in enumerate(zip(p, q), 1):
+        x = pk @ v @ pk.T
+        v = 0.5 * (x + x.T) + qk
+        if k % stride == 0:
             out.append(v)
     return np.array(out)
 
@@ -637,22 +641,19 @@ def test_intervals_compose_to_their_steps():
 
 
 def test_p_only_intervals_are_the_products_of_their_steps():
-    # Without a diffusion only P is composed, at any stride.
+    # Without a diffusion only P is composed: the period map of each
+    # 7-step window is the product of its step maps.
     rng = np.random.default_rng(20)
     dt = 0.01
-    a_half = sinusoidal_half_grid(rng, 700, dt)   # two chunks of intervals
-    steps = np.concatenate([p for p, _ in dynamics._interval_maps(a_half, dt, 1)])
-    intervals = list(dynamics._interval_maps(a_half, dt, 7))
-    assert all(q is None for _, q in intervals)
-    got = np.concatenate([p for p, _ in intervals])
-    want = np.empty_like(got)
-    for k in range(len(got)):
-        want[k] = np.eye(8)
+    a_half = sinusoidal_half_grid(rng, 700, dt)
+    steps, _ = dynamics._step_maps(a_half, dt)
+    for k in range(100):
+        phi, q = period_map(a_half[14 * k:14 * k + 15], dt)
+        want = np.eye(8)
         for pk in steps[7 * k:7 * k + 7]:
-            want[k] = pk @ want[k]
-    assert len(got) == 100
-    scale = np.max(np.linalg.norm(want, axis=(1, 2)))
-    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+            want = pk @ want
+        assert q is None
+        assert np.max(np.abs(phi - want)) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_monodromy_is_the_ordered_product_of_step_maps():

@@ -284,6 +284,32 @@ def test_missing_file_is_config_error(tmp_path, capsys):
                      str(tmp_path / "nope.yaml")]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("section,value,message", [
+    ("cavity", 5, "cavity must be a mapping"),
+    ("environment", 5, "environment must be a mapping"),
+    ("numerics", 5, "numerics must be a mapping"),
+    ("sweep", 5, "sweep must be a mapping"),
+    ("sweep", None, "sweep must be a mapping"),
+    ("drive", [1.0], "drive must be a mapping"),
+    ("objects", [5], "objects[0] must be a mapping"),
+    (None, None, "malformed scenario file: 'utf-8' codec can't decode"),
+], ids=["scalar_cavity", "scalar_environment", "scalar_numerics",
+        "scalar_sweep", "null_sweep", "list_drive", "scalar_object",
+        "not_utf8"])
+def test_malformed_sections_are_config_errors(tmp_path, capsys, section,
+                                              value, message):
+    doc = base_doc()
+    path = tmp_path / "case.yaml"
+    if section is None:   # a Latin-1 comment, then the document
+        path.write_bytes("# \u00c5ngstr\u00f6m\n".encode("latin-1")
+                         + yaml.safe_dump(doc).encode())
+    else:
+        doc[section] = value
+        path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_boolean_quality_is_not_a_number(tmp_path, capsys):
     doc = base_doc()
     doc["objects"][0]["mechanical_quality"] = True
@@ -321,6 +347,23 @@ def test_verb_rejects_options_it_does_not_read(verb, option, capsys):
                   *option])
     assert err.value.code == cli.EXIT_CONFIG
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,drive", [
+    ("fig1_cw", {"control_fractions": [0.1, 1e300]}),
+    ("fig1_cw", {"detunings_omega1_units": [1e301, 1.0]}),
+    ("fig2_sum", {"modulation_frequency_sum_units": 1e305}),
+], ids=["control_fraction", "detuning", "modulation_frequency"])
+def test_drive_overflowing_to_infinity_is_refused(tmp_path, capsys, name,
+                                                  drive):
+    # Each value is finite, but not once it is scaled to rad/s.
+    with open(shipped_scenario(name)) as fh:
+        doc = yaml.safe_load(fh)
+    doc["drive"].update(drive)
+    path = write_scenario(tmp_path, doc)
+    for verb in VERBS:
+        assert cli.main([verb, "--scenario", str(path)]) == cli.EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
 
 
 def test_steady_report(tmp_path):
@@ -628,6 +671,23 @@ def test_sweep_marks_a_lyapunov_miss_unconverged(tmp_path, capsys):
     assert rows[1] == "0,,,,,unconverged"
     assert [rows[0], rows[2]] == sweep_rows(tmp_path, capsys, [0.5, 1.0],
                                             cli.EXIT_OK)
+
+
+def test_sweep_marks_a_drift_that_overflows_unconverged(tmp_path, capsys):
+    # At 1e300 Omega_1 the detuning is finite but the Frobenius norm of
+    # its drift is not: that row alone fails, and no warning escapes.
+    rows = sweep_rows(tmp_path, capsys, [1.0, 1e300, 1.2], cli.EXIT_NOCONV)
+    assert rows[1] == "1e+300,,,,,unconverged"
+    assert [rows[0], rows[2]] == sweep_rows(tmp_path, capsys, [1.0, 1.2],
+                                            cli.EXIT_OK)
+
+
+def test_steady_on_a_drift_that_overflows_exits_4(tmp_path, capsys):
+    doc = base_doc()
+    doc["drive"]["control_fractions"] = [0.1, 1e100]
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["steady", "--scenario", str(path)]) == cli.EXIT_NOCONV
+    assert "drift is not finite" in capsys.readouterr().err
 
 
 def test_sweep_exit_4_wins_over_3(tmp_path, capsys):
