@@ -428,34 +428,63 @@ class DriftGrid:
         return drift_samples(means, self._params)
 
 
-def _pade_inverse(m: np.ndarray, n: np.ndarray, first: int,
-                  dt: float) -> np.ndarray:
+def _pade_inverse(m: np.ndarray, n: np.ndarray, first: int, dt: float,
+                  work: list[np.ndarray]) -> np.ndarray:
     """Inverses of a stack of Pade denominators M, those of steps ``first``,
     ``first + 1``, ..., whose numerators are N.
+
+    M and N are polynomials in one Omega, so they commute and M N = I - Y,
+    Y = Omega^2/12 - Omega^4/144, which makes M^-1 = N (I + Y + ... + Y^k).
+    With r = n max|Y| over the stack, a bound on every ||Y||_inf, the
+    series is summed by Horner when r <= 1/2, to the least power k >= 1
+    for which its tail r^(k+1) / (1 - r) is at most 2^-53 (k = 5 on the
+    shipped runs, where r is below 2e-3), in stacked products with no
+    per-matrix LAPACK call; longer steps take ``np.linalg.inv``.  ``work``
+    is four scratch arrays shaped like ``m``; the inverses are written to
+    the last.
 
     Raises ``ConvergenceError`` naming the first step whose M is singular,
     and its start time in the unit of ``dt`` (seconds from ``pipeline``):
     ||M^-1||_1 ||N||_1, a bound on the step map P = M^-1 N, above
-    ``PADE_GAIN_MAX``.
+    ``PADE_GAIN_MAX``.  The chunk bound n^2 max|M^-1| max|N| covers every
+    step at once; only when it fails are the steps' norms taken.
     """
-    try:
-        m_inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        # One by one; an exactly singular M keeps an infinite inverse.
-        m_inv = np.full_like(m, np.inf)
-        for k, mk in enumerate(m):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                m_inv[k] = np.linalg.inv(mk)
-    gain = (np.abs(m_inv).sum(axis=1).max(axis=1)
-            * np.abs(n).sum(axis=1).max(axis=1))
-    singular = ~(gain <= PADE_GAIN_MAX)
-    if singular.any():
-        k = int(singular.argmax())
-        raise ConvergenceError(
-            f"Pade denominator of step {first + k} (from t = "
-            f"{(first + k) * dt:.6e}) is singular: ||M^-1|| ||N|| = "
-            f"{gain[k]:.3e} above {PADE_GAIN_MAX:.0e}; the step is too long "
-            "for the drift", 1.0 / gain[k])
+    y, acc, tmp, m_inv = work
+    size = m.shape[-1]
+    eye = np.eye(size)
+    np.matmul(m, n, out=y)
+    np.subtract(eye, y, out=y)
+    r = size * float(abs(y).max(initial=0.0))
+    if r <= 0.5:
+        k = 1
+        while r ** (k + 1) / (1.0 - r) > 2.0 ** -53:
+            k += 1
+        np.add(eye, y, out=acc)
+        for _ in range(k - 1):
+            np.matmul(y, acc, out=tmp)
+            np.add(eye, tmp, out=acc)
+        np.matmul(n, acc, out=m_inv)
+    else:
+        try:
+            m_inv = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            # One by one; an exactly singular M keeps an infinite inverse.
+            m_inv = np.full_like(m, np.inf)
+            for k, mk in enumerate(m):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    m_inv[k] = np.linalg.inv(mk)
+    bound = size * size * abs(m_inv).max(initial=0.0) * abs(n).max(initial=0.0)
+    if not bound <= PADE_GAIN_MAX:
+        gain = (np.abs(m_inv).sum(axis=1).max(axis=1)
+                * np.abs(n).sum(axis=1).max(axis=1))
+        singular = ~(gain <= PADE_GAIN_MAX)
+        if singular.any():
+            k = int(singular.argmax())
+            raise ConvergenceError(
+                f"Pade denominator of step {first + k} (from t = "
+                f"{(first + k) * dt:.6e}) is singular: ||M^-1|| ||N|| = "
+                f"{gain[k]:.3e} above {PADE_GAIN_MAX:.0e}; the step is too "
+                "long for the drift", 1.0 / gain[k])
     return m_inv
 
 
@@ -522,7 +551,9 @@ def _step_maps(a: np.ndarray, dt: float, d: np.ndarray | None = None,
     even += np.eye(a.shape[-1])
     np.add(even, half, out=numerator)
     even -= half
-    m_inv = _pade_inverse(even, numerator, first, dt)
+    # ``q``, ``s`` and ``x`` are free here, and M^-1 goes to ``r``, which
+    # is not written again before M^-1 is last read.
+    m_inv = _pade_inverse(even, numerator, first, dt, [q, s, x, r])
     np.matmul(m_inv, numerator, out=p)
     if d is not None:
         np.matmul(omega, d, out=s)

@@ -37,12 +37,30 @@ STEP_RTOL = 1e-6
 ORBIT_REACH_RTOL = 1e-2
 
 
+def fastest_rate(scenario: Scenario) -> float:
+    """max(Omega, |Delta|, kappa, w_D) of the scenario, in rad/s.
+
+    ``evolve`` (through ``timestep``) and ``effective_report`` start here,
+    and refuse a scenario whose fastest rate has an infinite square with a
+    ``ConfigError`` naming it: the cavity response takes kappa^2 + Delta^2,
+    and the time step STEPS_PER_CYCLE times the rate.  A finite rate can
+    pass ``DriveSpec`` and still overflow both.
+    """
+    p, d = scenario.params, scenario.drive
+    name, rate = max((("trap frequency", float(np.max(p.omega_mech))),
+                      ("detuning", float(np.max(np.abs(d.detunings)))),
+                      ("cavity linewidth", float(np.max(p.kappa))),
+                      ("modulation frequency", d.mod_frequency)),
+                     key=lambda item: item[1])
+    if not math.isfinite(rate * rate):
+        raise ConfigError(f"{name} {rate:.6g} rad/s is out of range: its "
+                          "square overflows")
+    return rate
+
+
 def timestep(scenario: Scenario) -> float:
     """dt <= 2 pi / (200 max(Omega, Delta, kappa, w_D)), in SI seconds."""
-    p, d = scenario.params, scenario.drive
-    fastest = max(float(np.max(p.omega_mech)), float(np.max(np.abs(d.detunings))),
-                  float(np.max(p.kappa)), d.mod_frequency)
-    return 2 * math.pi / (STEPS_PER_CYCLE * fastest)
+    return 2 * math.pi / (STEPS_PER_CYCLE * fastest_rate(scenario))
 
 
 def period_grid(scenario: Scenario) -> tuple[float, int, int]:
@@ -315,7 +333,9 @@ class EffectiveReport:
 
 
 def effective_report(scenario: Scenario) -> EffectiveReport:
-    """J harmonics over the periodic mean-field orbit plus advisor output."""
+    """J harmonics over the periodic mean-field orbit plus advisor output;
+    ``fastest_rate`` refuses a rate that overflows."""
+    fastest_rate(scenario)
     p, drv = scenario.params, scenario.drive
     wp = meanfield.steady_means(p, drv.unmodulated())
     omega_d = drv.mod_frequency

@@ -142,18 +142,26 @@ class Scenario:
         ``values``, in the relative units of ``system``'s overrides.
         ``system`` takes its overrides from here, so each row is the drive
         of ``system(**{axis: value})``.  The modulation is not part of the
-        stack: the callers check the drive is CW.
+        stack: the callers check the drive is CW.  A value that scales to a
+        non-finite rate is a ``ConfigError`` naming it, as in ``DriveSpec``.
         """
         values = np.asarray(values, dtype=float)[:, None]
         cw = np.tile(self.drive.cw_amplitudes, (len(values), 1))
         detunings = np.tile(self.drive.detunings, (len(values), 1))
-        if axis == "detuning":
-            detunings[:] = values * self.params.omega_mech[0]
-        elif axis == "control_fraction":
-            cw[:] = values * self.drive.trap_amplitude
-        else:
-            raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, "
-                              f"not {axis!r}")
+        with np.errstate(over="ignore"):
+            if axis == "detuning":
+                detunings[:] = values * self.params.omega_mech[0]
+            elif axis == "control_fraction":
+                cw[:] = values * self.drive.trap_amplitude
+            else:
+                raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, "
+                                  f"not {axis!r}")
+        finite = np.isfinite(cw).all(axis=1) & np.isfinite(detunings).all(axis=1)
+        if not finite.all():
+            value = values[finite.argmin(), 0]
+            raise ConfigError(f"{axis} {value:.6g} is not finite in rad/s: "
+                              "drive amplitudes, modulation frequency and "
+                              "detunings must be finite")
         return cw, detunings
 
 

@@ -627,6 +627,98 @@ def test_singular_pade_denominator_raises_and_names_step(offset):
             run()
 
 
+def counting_lapack_inverse(monkeypatch):
+    """Count the calls to ``np.linalg.inv`` until the test ends; returns
+    the list of their stacks and the real function."""
+    real, calls = np.linalg.inv, []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls, real
+
+
+def test_pade_series_matches_lapack_on_a_shipped_chunk(fig2_sum_scenario,
+                                                       monkeypatch):
+    # The drive period of fig2_sum on evolve's 64 steps is one chunk, with
+    # r = 8 max|Y| near 1e-3: the Neumann series takes it, not LAPACK.
+    p, drive = fig2_sum_scenario.params, fig2_sum_scenario.drive
+    a_half = drift_samples(periodic_orbit(p, drive, 64).means, p)
+    dt = 2 * math.pi / drive.mod_frequency / 64
+    seen = []
+    real_pade = dynamics._pade_inverse
+
+    def spy(m, n, first, dt, work):
+        m_inv = real_pade(m, n, first, dt, work)
+        seen.append((m.copy(), m_inv.copy()))
+        return m_inv
+
+    monkeypatch.setattr(dynamics, "_pade_inverse", spy)
+    lapack, inv = counting_lapack_inverse(monkeypatch)
+    period_map(a_half, dt, build_diffusion(p))
+    assert not lapack and len(seen) == 1
+    m, m_inv = seen[0]
+    want = inv(m)
+    assert m.shape[0] == 64
+    assert np.all(np.abs(m_inv - want).max(axis=(1, 2))
+                  <= 1e-15 * np.abs(want).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("c", [0.887, 1.0], ids=["series", "lapack"])
+def test_pade_inverse_takes_lapack_past_half(c, monkeypatch):
+    # Omega = -c I gives Y = (c^2/12 - c^4/144) I and r = 8 |Y_00|: 0.490
+    # at c = 0.887, where the series takes 54 terms, and 0.611 at c = 1,
+    # past 1/2, where LAPACK inverts.  P is the scalar Pade ratio.
+    dt = 0.5
+    r = 8 * (c ** 2 / 12 - c ** 4 / 144)
+    assert (r > 0.5) == (c == 1.0)
+    lapack, _ = counting_lapack_inverse(monkeypatch)
+    p, _ = dynamics._step_maps(constant_half_grid(-c / dt * np.eye(8), 3), dt)
+    assert len(lapack) == (r > 0.5)
+    ratio = (1 - c / 2 + c * c / 12) / (1 + c / 2 + c * c / 12)
+    assert np.max(np.abs(p - ratio * np.eye(8))) <= 1e-15 * ratio
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.1, 0.3, 0.49])
+def test_pade_series_sums_to_its_certified_tail(r):
+    # N = I and M = I - Y with every entry of Y equal to r / 8, so
+    # ||Y^j||_inf = r^j exactly and the tail the term count is picked by is
+    # tight; M^-1 = I + Y / (1 - r).
+    n = np.tile(np.eye(8), (3, 1, 1))
+    m = n - r / 8
+    work = [np.empty_like(m) for _ in range(4)]
+    want = np.eye(8) + r / 8 / (1 - r)
+    got = dynamics._pade_inverse(m, n, 0, 1.0, work)
+    assert np.max(np.abs(got - want)) <= 2.0 ** -52 * np.max(want)
+
+
+@pytest.mark.parametrize("factor", [1e-3, 0.5, 1 - 1e-9, 1 + 1e-9, 2.0])
+def test_pade_gain_verdict_next_to_the_bound(factor):
+    # In a stack of four with N = I, step 2 (the seventh from ``first`` =
+    # 5) has M^-1 = I + E, E seven entries s below the diagonal of column
+    # 0, so its gain ||M^-1||_1 ||N||_1 is 1 + 7 s = factor PADE_GAIN_MAX.
+    # The chunk bound n^2 max|M^-1| max|N| = 64 s clears PADE_GAIN_MAX only
+    # at the smallest factor; past it the exact gains decide, as they did
+    # alone.
+    s = (factor * dynamics.PADE_GAIN_MAX - 1) / 7
+    n = np.tile(np.eye(8), (4, 1, 1))
+    m = n.copy()
+    m[2, 1:, 0] = -s
+    work = [np.empty_like(m) for _ in range(4)]
+    exact = (np.abs(np.linalg.inv(m)).sum(axis=1).max(axis=1)
+             * np.abs(n).sum(axis=1).max(axis=1))
+    if (exact > dynamics.PADE_GAIN_MAX).any():
+        assert factor > 1
+        with pytest.raises(ConvergenceError, match="step 7 .* is singular"):
+            dynamics._pade_inverse(m, n, 5, 0.1, work)
+    else:
+        assert factor < 1
+        m_inv = dynamics._pade_inverse(m, n, 5, 0.1, work)
+        assert np.array_equal(m_inv, np.linalg.inv(m))
+
+
 def test_intervals_compose_to_their_steps():
     rng = np.random.default_rng(18)
     dt = 0.01

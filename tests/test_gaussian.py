@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from twintrap import gaussian, pipeline
+from twintrap import dynamics, gaussian, meanfield, pipeline
 from twintrap.gaussian import (EntanglementReport, eta_min, log_negativity,
                                mechanical_block, partial_transpose,
                                phonon_occupation, symplectic_form,
@@ -124,6 +124,43 @@ def test_stacked_spectrum_of_williamson_states():
     assert np.max(np.abs(got.reshape(-1, 2) - nu) / nu) <= 1e-14
 
 
+PARTIAL_TRANSPOSE_SPECTRA = [(0.5, 0.7), (0.6, 0.6), (0.6, 0.6 * (1 + 1e-9)),
+                             (1.0, 3.0), (1e-3, 10.0), (3.0, 0.02)]
+
+
+@pytest.mark.parametrize("nu", PARTIAL_TRANSPOSE_SPECTRA)
+def test_eta_min_of_williamson_partial_transposes(nu):
+    # The partial transpose of each matrix is a Williamson state of
+    # spectrum nu, so eta_min is min(nu), with nu_1 = nu_2 in one case and
+    # eta 1e4 times below nu_max in another.  Building the states rounds
+    # them by about eps ||S||^2, hence the bound in nu_max; the eigvalsh
+    # spectrum errs by up to eps nu_max^2 / eta.
+    rng = np.random.default_rng(34)
+    stack = np.stack([partial_transpose(williamson_state(*nu, rng))
+                      for _ in range(20)])
+    lo, hi = min(nu), max(nu)
+    eta = eta_min(stack)
+    assert np.max(np.abs(eta - lo)) <= 5e-15 * hi
+    spectrum = symplectic_spectrum(partial_transpose(stack)).min(axis=-1)
+    assert np.max(np.abs(eta - spectrum)) <= 5e-15 * hi ** 2 / lo
+
+
+def test_eta_min_at_the_start_of_mod_evolve_against_mpmath(fig2_sum_scenario):
+    # The first stored sample of a fig2_sum evolve is its CW steady state,
+    # where the two symplectic eigenvalues of the partial transpose agree
+    # to 2.3e-16: the closed form must not cancel there.
+    mp = pytest.importorskip("mpmath")
+    p, drive = fig2_sum_scenario.params, fig2_sum_scenario.drive
+    wp = meanfield.steady_means(p, drive.unmodulated())
+    v = dynamics.lyapunov_steady(dynamics.drift_samples(wp, p),
+                                 dynamics.build_diffusion(p))
+    with mp.workdps(40):
+        k = (mp.matrix(symplectic_form(2))
+             * mp.matrix(partial_transpose(mechanical_block(v)).tolist()))
+        want = min(abs(mp.im(z)) for z in mp.eig(k, left=False, right=False))
+        assert abs(eta_min(v) - want) <= 2.0 ** -52 * want
+
+
 # ------------------------------------------------------------- properties
 
 @settings(max_examples=50, deadline=None)
@@ -210,6 +247,16 @@ def test_stack_rejects_one_non_positive_matrix():
         eta_min(stack)
 
 
+@pytest.mark.parametrize("pivot", range(4))
+def test_stack_names_the_matrix_whose_cholesky_pivot_fails(pivot):
+    # eta_min's Cholesky factor is written out entry by entry: each of its
+    # four pivots is checked.
+    stack = np.stack([0.5 * np.eye(4)] * 3)
+    stack[1, pivot, pivot] = -0.5
+    with pytest.raises(ValueError, match="positive definite.*matrix 1"):
+        eta_min(stack)
+
+
 def test_stack_rejects_one_unpaired_spectrum(monkeypatch):
     # In exact arithmetic the eigenvalues of K^T K always pair, so the
     # failure is injected: one eigenvalue of the first matrix is shifted.
@@ -221,10 +268,10 @@ def test_stack_rejects_one_unpaired_spectrum(monkeypatch):
         return out
 
     stack = physical_stack()
-    eta_min(stack)
+    symplectic_spectrum(stack)
     monkeypatch.setattr(gaussian.np.linalg, "eigvalsh", shifted)
     with pytest.raises(ValueError, match="pair.*matrix 0"):
-        eta_min(stack)
+        symplectic_spectrum(stack)
 
 
 def test_stacked_log_negativity_matches_per_matrix():

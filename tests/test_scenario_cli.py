@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +366,34 @@ def test_drive_overflowing_to_infinity_is_refused(tmp_path, capsys, name,
     for verb in VERBS:
         assert cli.main([verb, "--scenario", str(path)]) == cli.EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["evolve", "effective"])
+def test_rate_whose_square_overflows_is_refused(tmp_path, capsys, verb):
+    # 1e300 Omega_1 is finite in rad/s, 6.9e307, but its square (the
+    # cavity response) and 200 times it (the time step) are not.
+    doc = base_doc()
+    doc["drive"]["detunings_omega1_units"] = [1e300, 1.0]
+    path = write_scenario(tmp_path, doc)
+    assert cli.main([verb, "--scenario", str(path)]) == cli.EXIT_CONFIG
+    assert re.search(r"detuning 6\.9\d*e\+307 rad/s is out of range",
+                     capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("axis", ["detuning", "control_fraction"])
+def test_sweep_value_overflowing_to_infinity_is_refused(tmp_path, capsys,
+                                                        axis):
+    # The value is finite but its rate is not; with warnings made errors
+    # here, an overflow warning would fail the run rather than print.
+    doc = base_doc()
+    doc["sweep"] = {"axis": axis, "values": [0.1, 1e305, 0.2]}
+    path = write_scenario(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep", "--scenario", str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{axis} 1e+305 is not finite in rad/s" in captured.err
+    assert captured.out == ""
 
 
 def test_steady_report(tmp_path):
