@@ -59,6 +59,13 @@ PROPAGATOR_CHUNK = 512
 #: Pade exponential, where rounding in M would swamp the step.
 PADE_GAIN_MAX = 1e8
 
+#: Largest r = n max|Y| over a chunk at which ``_pade_inverse`` sums its
+#: series (at most k = 6 powers of Y) rather than call ``np.linalg.inv``.
+#: Measured on one core (minima of 9 x 20 calls, 512-step chunks), the
+#: series took 0.87-0.89 of LAPACK's time at k = 5 (r = 2e-3), 0.92-0.93
+#: at k = 6 (r = 5e-3) and 1.08-1.13 at k = 7 (r = 7e-3 and 1e-2).
+PADE_SERIES_RMAX = 5e-3
+
 #: Relative period-to-period covariance change below which an evolved
 #: trajectory counts as quasi-steady.
 QUASI_STEADY_TOL = 1e-3
@@ -436,10 +443,12 @@ def _pade_inverse(m: np.ndarray, n: np.ndarray, first: int, dt: float,
     M and N are polynomials in one Omega, so they commute and M N = I - Y,
     Y = Omega^2/12 - Omega^4/144, which makes M^-1 = N (I + Y + ... + Y^k).
     With r = n max|Y| over the stack, a bound on every ||Y||_inf, the
-    series is summed by Horner when r <= 1/2, to the least power k >= 1
-    for which its tail r^(k+1) / (1 - r) is at most 2^-53 (k = 5 on the
-    shipped runs, where r is below 2e-3), in stacked products with no
-    per-matrix LAPACK call; longer steps take ``np.linalg.inv``.  ``work``
+    series is summed by Horner when r <= ``PADE_SERIES_RMAX``, to the
+    least power k >= 1 for which its tail r^(k+1) / (1 - r) is at most
+    2^-53, in stacked products with no per-matrix LAPACK call (k = 5 on
+    ``fig2_sum``, r <= 1.7e-3; k = 6 on ``fig2_half``'s long chunks,
+    r <= 4.1e-3); longer steps, such as those of ``fig2_half``'s 64-step
+    probe (r = 2.3e-2), take ``np.linalg.inv``.  ``work``
     is four scratch arrays shaped like ``m``; the inverses are written to
     the last.
 
@@ -455,7 +464,7 @@ def _pade_inverse(m: np.ndarray, n: np.ndarray, first: int, dt: float,
     np.matmul(m, n, out=y)
     np.subtract(eye, y, out=y)
     r = size * float(abs(y).max(initial=0.0))
-    if r <= 0.5:
+    if r <= PADE_SERIES_RMAX:
         k = 1
         while r ** (k + 1) / (1.0 - r) > 2.0 ** -53:
             k += 1

@@ -45,6 +45,10 @@ def fastest_rate(scenario: Scenario) -> float:
     ``ConfigError`` naming it: the cavity response takes kappa^2 + Delta^2,
     and the time step STEPS_PER_CYCLE times the rate.  A finite rate can
     pass ``DriveSpec`` and still overflow both.
+
+    The guard is partial: a rate whose square is finite but large (a
+    detuning of 1e100 Omega_1) still overflows the Routh-Hurwitz table,
+    and ``validate`` and ``steady`` do not call it.
     """
     p, d = scenario.params, scenario.drive
     name, rate = max((("trap frequency", float(np.max(p.omega_mech))),
@@ -334,8 +338,8 @@ class EffectiveReport:
 
 def effective_report(scenario: Scenario) -> EffectiveReport:
     """J harmonics over the periodic mean-field orbit plus advisor output;
-    ``fastest_rate`` refuses a rate that overflows."""
-    fastest_rate(scenario)
+    ``fastest_rate`` refuses a rate whose square overflows."""
+    fastest_rate(scenario)    # the range check only; see its docstring
     p, drv = scenario.params, scenario.drive
     wp = meanfield.steady_means(p, drv.unmodulated())
     omega_d = drv.mod_frequency

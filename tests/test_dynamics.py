@@ -666,23 +666,28 @@ def test_pade_series_matches_lapack_on_a_shipped_chunk(fig2_sum_scenario,
                   <= 1e-15 * np.abs(want).max(axis=(1, 2)))
 
 
-@pytest.mark.parametrize("c", [0.887, 1.0], ids=["series", "lapack"])
-def test_pade_inverse_takes_lapack_past_half(c, monkeypatch):
-    # Omega = -c I gives Y = (c^2/12 - c^4/144) I and r = 8 |Y_00|: 0.490
-    # at c = 0.887, where the series takes 54 terms, and 0.611 at c = 1,
-    # past 1/2, where LAPACK inverts.  P is the scalar Pade ratio.
+@pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6],
+                         ids=["series", "lapack"])
+def test_pade_inverse_takes_lapack_past_series_rmax(factor, monkeypatch):
+    # Omega = -c I gives Y = (c^2/12 - c^4/144) I and r = 8 |Y_00|, so
+    # c^2 = 6 - sqrt(36 - 18 r) puts r a hair either side of
+    # PADE_SERIES_RMAX: below it the series inverts, above it LAPACK.
+    # P is the scalar Pade ratio.  The series stops at k = 6 powers of Y,
+    # past which LAPACK is the faster inverse.
+    rmax = dynamics.PADE_SERIES_RMAX
+    assert rmax ** 7 / (1 - rmax) <= 2.0 ** -53
     dt = 0.5
-    r = 8 * (c ** 2 / 12 - c ** 4 / 144)
-    assert (r > 0.5) == (c == 1.0)
+    r = factor * rmax
+    c = math.sqrt(6 - math.sqrt(36 - 18 * r))
     lapack, _ = counting_lapack_inverse(monkeypatch)
     p, _ = dynamics._step_maps(constant_half_grid(-c / dt * np.eye(8), 3), dt)
-    assert len(lapack) == (r > 0.5)
+    assert len(lapack) == (factor > 1)
     ratio = (1 - c / 2 + c * c / 12) / (1 + c / 2 + c * c / 12)
     assert np.max(np.abs(p - ratio * np.eye(8))) <= 1e-15 * ratio
 
 
-@pytest.mark.parametrize("r", [1e-3, 0.1, 0.3, 0.49])
-def test_pade_series_sums_to_its_certified_tail(r):
+@pytest.mark.parametrize("r", [1e-6, 1e-3, dynamics.PADE_SERIES_RMAX])
+def test_pade_series_sums_to_its_certified_tail(r, monkeypatch):
     # N = I and M = I - Y with every entry of Y equal to r / 8, so
     # ||Y^j||_inf = r^j exactly and the tail the term count is picked by is
     # tight; M^-1 = I + Y / (1 - r).
@@ -690,7 +695,9 @@ def test_pade_series_sums_to_its_certified_tail(r):
     m = n - r / 8
     work = [np.empty_like(m) for _ in range(4)]
     want = np.eye(8) + r / 8 / (1 - r)
+    lapack, _ = counting_lapack_inverse(monkeypatch)
     got = dynamics._pade_inverse(m, n, 0, 1.0, work)
+    assert not lapack
     assert np.max(np.abs(got - want)) <= 2.0 ** -52 * np.max(want)
 
 
