@@ -15,8 +15,8 @@ Verbs:
 * ``effective`` — adiabatically eliminated coupling constants J and the
   resonance advisor frequencies.
 * ``validate``  — schema and physical invariants, as loading checks them,
-  and a sweep section on a modulated drive refused as ``sweep`` refuses it;
-  no dynamics.
+  and a sweep section refused as ``sweep`` refuses it: on a modulated drive,
+  or with a value whose rate is not finite or out of range; no dynamics.
 
 Exit codes (``EXIT_CODES``): 0 success, 2 invalid scenario/arguments, 3
 unstable system, 4 non-converged computation.
@@ -135,6 +135,7 @@ def _write_csv(args, name: str, columns, lines) -> None:
 def cmd_validate(scenario: Scenario, args) -> int:
     if scenario.sweep is not None:
         pipeline.require_cw(scenario.drive)
+        scenario.drive_stack(scenario.sweep.axis, scenario.sweep.values)
     _emit(args, "validate.json", json.dumps({"valid": True}))
     return EXIT_OK
 

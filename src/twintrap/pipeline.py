@@ -40,26 +40,13 @@ ORBIT_REACH_RTOL = 1e-2
 def fastest_rate(scenario: Scenario) -> float:
     """max(Omega, |Delta|, kappa, w_D) of the scenario, in rad/s.
 
-    ``evolve`` (through ``timestep``) and ``effective_report`` start here,
-    and refuse a scenario whose fastest rate has an infinite square with a
-    ``ConfigError`` naming it: the cavity response takes kappa^2 + Delta^2,
-    and the time step STEPS_PER_CYCLE times the rate.  A finite rate can
-    pass ``DriveSpec`` and still overflow both.
-
-    The guard is partial: a rate whose square is finite but large (a
-    detuning of 1e100 Omega_1) still overflows the Routh-Hurwitz table,
-    and ``validate`` and ``steady`` do not call it.
+    A ``Scenario`` holds no rate above ``scenario.RATE_MAX``: every verb's
+    scenario is refused where it is built, and a sweep value in
+    ``Scenario.drive_stack``, so the time step STEPS_PER_CYCLE times this
+    rate, the cavity response kappa^2 + Delta^2 and the Routh-Hurwitz
+    table's powers of the drift are finite.
     """
-    p, d = scenario.params, scenario.drive
-    name, rate = max((("trap frequency", float(np.max(p.omega_mech))),
-                      ("detuning", float(np.max(np.abs(d.detunings)))),
-                      ("cavity linewidth", float(np.max(p.kappa))),
-                      ("modulation frequency", d.mod_frequency)),
-                     key=lambda item: item[1])
-    if not math.isfinite(rate * rate):
-        raise ConfigError(f"{name} {rate:.6g} rad/s is out of range: its "
-                          "square overflows")
-    return rate
+    return scenario.fastest_rate()[1]
 
 
 def timestep(scenario: Scenario) -> float:
@@ -337,9 +324,7 @@ class EffectiveReport:
 
 
 def effective_report(scenario: Scenario) -> EffectiveReport:
-    """J harmonics over the periodic mean-field orbit plus advisor output;
-    ``fastest_rate`` refuses a rate whose square overflows."""
-    fastest_rate(scenario)    # the range check only; see its docstring
+    """J harmonics over the periodic mean-field orbit plus advisor output."""
     p, drv = scenario.params, scenario.drive
     wp = meanfield.steady_means(p, drv.unmodulated())
     omega_d = drv.mod_frequency

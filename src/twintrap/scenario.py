@@ -58,6 +58,7 @@ Unknown keys anywhere in the tree are rejected.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -78,6 +79,22 @@ SWEEP_AXES = ("detuning", "control_fraction")
 #: parses in 0.013 s, against 0.10 s in pure Python); both loaders build
 #: the document with the same safe constructor.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+#: Largest rate a scenario may hold, in rad/s: about 4.25e37.  A drift
+#: whose entries are within it has ||A||_inf <= 8 RATE_MAX, so its powers up
+#: to A^8, which the Routh-Hurwitz table of ``dynamics`` takes, stay finite,
+#: and so do the time step and the cavity response kappa^2 + Delta^2.  On
+#: ``fig1_cw`` the table first overflows at a detuning between 7e39 and
+#: 7e40 rad/s.
+RATE_MAX = sys.float_info.max ** (1 / 8) / 8
+
+
+def require_rate(name: str, rate: float) -> None:
+    """Refuse a ``rate`` in rad/s above ``RATE_MAX`` with a ``ConfigError``
+    that starts with ``name`` and the rate."""
+    if not rate <= RATE_MAX:
+        raise ConfigError(f"{name} {rate:.6g} rad/s is out of range: rates "
+                          f"must be at most {RATE_MAX:.3g} rad/s")
 
 
 @dataclass(frozen=True)
@@ -107,6 +124,20 @@ class Scenario:
     drive: model.DriveSpec
     numerics: Numerics = Numerics()
     sweep: SweepSpec | None = None
+
+    def __post_init__(self):
+        require_rate(*self.fastest_rate())
+
+    def fastest_rate(self) -> tuple[str, float]:
+        """The fastest of the rates max(Omega, |Delta|, kappa, w_D), in
+        rad/s, with its name.  A scenario is refused where it is built
+        when this is above ``RATE_MAX``."""
+        p, d = self.params, self.drive
+        return max((("trap frequency", float(np.max(p.omega_mech))),
+                    ("detuning", float(np.max(np.abs(d.detunings)))),
+                    ("cavity linewidth", float(np.max(p.kappa))),
+                    ("modulation frequency", d.mod_frequency)),
+                   key=lambda item: item[1])
 
     def system(self,
                detuning: float | None = None,
@@ -143,7 +174,8 @@ class Scenario:
         ``system`` takes its overrides from here, so each row is the drive
         of ``system(**{axis: value})``.  The modulation is not part of the
         stack: the callers check the drive is CW.  A value that scales to a
-        non-finite rate is a ``ConfigError`` naming it, as in ``DriveSpec``.
+        non-finite rate is a ``ConfigError`` naming it, as in ``DriveSpec``,
+        and so is a detuning above ``RATE_MAX``, as in ``Scenario``.
         """
         values = np.asarray(values, dtype=float)[:, None]
         cw = np.tile(self.drive.cw_amplitudes, (len(values), 1))
@@ -162,6 +194,10 @@ class Scenario:
             raise ConfigError(f"{axis} {value:.6g} is not finite in rad/s: "
                               "drive amplitudes, modulation frequency and "
                               "detunings must be finite")
+        if axis == "detuning":
+            k = int(np.argmax(np.abs(values)))
+            require_rate(f"detuning {values[k, 0]:.6g} Omega_1 =",
+                         abs(float(detunings[k, 0])))
         return cw, detunings
 
 

@@ -282,11 +282,64 @@ def _run_python(code: str) -> str:
 def test_import_leaves_heavy_scipy_modules_out():
     # The package uses no SciPy at run time: the physical constants are
     # literals, the mode waist has a closed form and the Lyapunov solve is
-    # NumPy's.
-    code = ("import sys, twintrap; "
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy.optimize', 'scipy.constants', 'scipy.linalg'))))")
-    assert _run_python(code) == "[]"
+    # NumPy's.  The star import loads every library layer, and the CLI
+    # every layer its verbs run.
+    for imports in ("from twintrap import *", "import twintrap.cli"):
+        code = (f"import sys; {imports}; "
+                "print(sorted(m for m in sys.modules if m.startswith("
+                "('scipy.optimize', 'scipy.constants', 'scipy.linalg'))))")
+        assert _run_python(code) == "[]", imports
+
+
+#: ``twintrap.__all__`` as the package exported it when it imported every
+#: layer eagerly: the eight layers and the names they export.
+EXPORTED = [
+    "AdiabaticityError", "BlowupError", "CavityGeometry", "ConfigError",
+    "ConvergenceError", "CovTrajectory", "DerivedParams", "DriftGrid",
+    "DriveSpec", "EffectiveReport", "EntanglementReport", "Environment",
+    "EvolveResult", "HarmonicDecomposition", "MeanTrajectory", "ObjectKind",
+    "ObjectSpec", "PeriodicOrbit", "ProbeSpec", "ProcessTag",
+    "QuasiSteadyOrbit", "ReconstructionError", "Scenario", "StabilityReport",
+    "SteadyStates", "UnstableSystemError", "build_diffusion", "derive_params",
+    "drift_samples", "dynamics", "effective", "effective_J_series",
+    "effective_report", "eta_min", "evolve", "evolve_covariance", "gaussian",
+    "integrate_means", "load_scenario", "log_negativity", "lyapunov_steady",
+    "mean_windows", "meanfield", "model", "modulation_harmonics",
+    "output_observables", "parse_scenario", "period_map", "periodic_orbit",
+    "phonon_occupation", "pipeline", "quasi_steady_orbit", "readout",
+    "reconstruct_mech_cov", "reduced_steady_state", "resonance_advisor",
+    "routh_hurwitz_stable", "rwa_classify", "scenario", "shipped_scenario",
+    "stability_check", "steady_covariance", "steady_means", "steady_state",
+    "steady_states", "symplectic_spectrum",
+]
+
+
+def test_package_loads_its_layers_on_first_use():
+    # A set-up imports only the two layers it runs; every exported name
+    # and layer still resolves, to the object its layer defines.
+    code = """
+import sys, types, twintrap
+twintrap.load_scenario(twintrap.shipped_scenario("fig1_cw")).system()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "twintrap"))
+print(sorted(twintrap.__all__))
+names = {}
+exec("from twintrap import *", names)
+print([name for name, value in names.items() if name in twintrap.__all__
+       and value is not (sys.modules["twintrap." + name]
+                         if isinstance(value, types.ModuleType)
+                         else getattr(sys.modules[value.__module__], name))])
+print(set(twintrap.__all__) <= set(dir(twintrap)), twintrap.readout.__name__)
+try:
+    twintrap.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    setup, exported, same, listed, missing = _run_python(code).splitlines()
+    assert setup == str(["twintrap", "twintrap.model", "twintrap.scenario"])
+    assert exported == str(EXPORTED)
+    assert same == "[]"
+    assert listed == "True twintrap.readout"
+    assert "no_such_name" in missing
 
 
 def test_runs_without_scipy():

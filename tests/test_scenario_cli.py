@@ -13,8 +13,8 @@ import yaml
 
 from twintrap import cli, dynamics, meanfield, model, pipeline
 from twintrap.model import ConfigError
-from twintrap.scenario import (SCHEMA_VERSION, Scenario, load_scenario,
-                               parse_scenario, shipped_scenario)
+from twintrap.scenario import (RATE_MAX, SCHEMA_VERSION, Scenario,
+                               load_scenario, parse_scenario, shipped_scenario)
 
 from conftest import with_numerics
 
@@ -368,32 +368,63 @@ def test_drive_overflowing_to_infinity_is_refused(tmp_path, capsys, name,
         assert "must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["evolve", "effective"])
+@pytest.mark.parametrize("verb", VERBS)
 def test_rate_whose_square_overflows_is_refused(tmp_path, capsys, verb):
     # 1e300 Omega_1 is finite in rad/s, 6.9e307, but its square (the
-    # cavity response) and 200 times it (the time step) are not.
-    doc = base_doc()
-    doc["drive"]["detunings_omega1_units"] = [1e300, 1.0]
-    path = write_scenario(tmp_path, doc)
-    assert cli.main([verb, "--scenario", str(path)]) == cli.EXIT_CONFIG
-    assert re.search(r"detuning 6\.9\d*e\+307 rad/s is out of range",
-                     capsys.readouterr().err)
+    # cavity response) and 200 times it (the time step) are not; at 1e100
+    # Omega_1 the Routh-Hurwitz table's powers of the drift overflow.  Every
+    # verb refuses both where it loads the scenario, with no warning.
+    for detuning, exponent in ((1e300, 307), (1e100, 107)):
+        doc = base_doc()
+        doc["drive"]["detunings_omega1_units"] = [detuning, 1.0]
+        path = write_scenario(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([verb, "--scenario", str(path)]) == \
+                cli.EXIT_CONFIG
+        assert re.search(
+            rf"detuning 6\.9\d*e\+{exponent} rad/s is out of range",
+            capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("axis", ["detuning", "control_fraction"])
+def test_scenario_built_with_a_rate_out_of_range_is_refused():
+    # The library path meets the same check as a loaded file: a scenario
+    # is refused where it is built, at any rate above RATE_MAX.
+    scenario = load_scenario(shipped_scenario("fig1_cw"))
+    for rate, refused in ((RATE_MAX, False), (1.0000001 * RATE_MAX, True)):
+        drive = dataclasses.replace(scenario.drive, detunings=(1.0, -rate))
+        if refused:
+            with pytest.raises(ConfigError, match=r"detuning 4\.25\d*e\+37 "
+                                                  "rad/s is out of range"):
+                dataclasses.replace(scenario, drive=drive)
+        else:
+            assert dataclasses.replace(scenario, drive=drive).fastest_rate() \
+                == ("detuning", RATE_MAX)
+
+
+@pytest.mark.parametrize("axis,value,message", [
+    ("detuning", 1e305, "detuning 1e+305 is not finite in rad/s"),
+    ("control_fraction", 1e305, "control_fraction 1e+305 is not finite in "
+                                "rad/s"),
+    ("detuning", 1e100, "detuning 1e+100 Omega_1 = 6.9115e+107 rad/s is out "
+                        "of range"),
+], ids=["detuning", "control_fraction", "detuning_out_of_range"])
 def test_sweep_value_overflowing_to_infinity_is_refused(tmp_path, capsys,
-                                                        axis):
-    # The value is finite but its rate is not; with warnings made errors
-    # here, an overflow warning would fail the run rather than print.
+                                                        axis, value, message):
+    # The value is finite but its rate is not, or is out of range; with
+    # warnings made errors here, an overflow warning would fail the run
+    # rather than print.  ``validate`` refuses it as ``sweep`` does.
     doc = base_doc()
-    doc["sweep"] = {"axis": axis, "values": [0.1, 1e305, 0.2]}
+    doc["sweep"] = {"axis": axis, "values": [0.1, value, 0.2]}
     path = write_scenario(tmp_path, doc)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["sweep", "--scenario", str(path)]) == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert f"{axis} 1e+305 is not finite in rad/s" in captured.err
-    assert captured.out == ""
+    for verb in ("validate", "sweep"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([verb, "--scenario", str(path)]) == \
+                cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 def test_steady_report(tmp_path):
@@ -684,9 +715,9 @@ def test_control_fraction_sweep_rows_are_each_points_steady_state(tmp_path,
         assert row == ",".join(f"{x:.12g}" for x in numbers) + ",stable"
 
 
-def sweep_rows(tmp_path, capsys, values, code):
+def sweep_rows(tmp_path, capsys, values, code, axis="detuning"):
     doc = base_doc()
-    doc["sweep"] = {"axis": "detuning", "values": values}
+    doc["sweep"] = {"axis": axis, "values": values}
     path = write_scenario(tmp_path, doc)
     assert cli.main(["sweep", "--scenario", str(path)]) == code
     return capsys.readouterr().out.splitlines()[1:]
@@ -704,12 +735,16 @@ def test_sweep_marks_a_lyapunov_miss_unconverged(tmp_path, capsys):
 
 
 def test_sweep_marks_a_drift_that_overflows_unconverged(tmp_path, capsys):
-    # At 1e300 Omega_1 the detuning is finite but the Frobenius norm of
-    # its drift is not: that row alone fails, and no warning escapes.
-    rows = sweep_rows(tmp_path, capsys, [1.0, 1e300, 1.2], cli.EXIT_NOCONV)
-    assert rows[1] == "1e+300,,,,,unconverged"
-    assert [rows[0], rows[2]] == sweep_rows(tmp_path, capsys, [1.0, 1.2],
-                                            cli.EXIT_OK)
+    # At a control fraction of 1e100 the drive is finite but the Frobenius
+    # norm of its drift is not: that row alone fails, and no warning
+    # escapes.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = sweep_rows(tmp_path, capsys, [0.1, 1e100, 0.2],
+                          cli.EXIT_NOCONV, axis="control_fraction")
+    assert rows[1] == "1e+100,,,,,unconverged"
+    assert [rows[0], rows[2]] == sweep_rows(
+        tmp_path, capsys, [0.1, 0.2], cli.EXIT_OK, axis="control_fraction")
 
 
 def test_steady_on_a_drift_that_overflows_exits_4(tmp_path, capsys):
